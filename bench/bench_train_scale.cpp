@@ -1,8 +1,9 @@
 //===- bench/bench_train_scale.cpp - Training throughput across corpus tiers -===//
 //
-// Tracks the payoff of the indexed RIPPER training engine (column
-// indexes, coverage bit-sets, value-order sweeps, shrinking grow
-// universes -- see ml/Ripper.cpp) the way bench_micro_costs tracks the
+// Tracks the payoff of the rank-histogram RIPPER training engine (one
+// column sort per train into value ranks, instance-set bit masks,
+// per-feature rank-histogram sweeps, a per-train condition-mask cache --
+// see ml/Ripper.cpp) the way bench_micro_costs tracks the
 // SchedContext arena: times the *reference* trainer (the original
 // sort-per-condition implementation, kept verbatim in
 // tests/ReferenceRipper.h) against the indexed engine, serial and
@@ -17,8 +18,7 @@
 // -- training cost grows superlinearly because richer corpora induce
 // more rules with more conditions, which is exactly the regime that
 // separates the engines: the reference re-sorts every feature column for
-// every candidate condition, the indexed engine sweeps presorted
-// entries.
+// every candidate condition, the engine sweeps rank histograms.
 //
 // Usage:
 //   bench_train_scale [--quick] [--jobs N] [--corpus-dir DIR | --no-cache]

@@ -26,6 +26,24 @@ std::string FilterRegistry::entryPath(uint32_t Version) const {
   return Dir + "/" + Name;
 }
 
+bool FilterRegistry::probeWritable(std::string &Error) const {
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC || !std::filesystem::is_directory(Dir, EC)) {
+    Error = "cannot create registry directory '" + Dir + "'" +
+            (EC ? ": " + EC.message() : std::string());
+    return false;
+  }
+  std::string Probe = Dir + "/.probe." + std::to_string(::getpid()) + ".tmp";
+  bool Created = static_cast<bool>(std::ofstream(Probe, std::ios::binary));
+  std::filesystem::remove(Probe, EC);
+  if (!Created) {
+    Error = "registry directory '" + Dir + "' is not writable";
+    return false;
+  }
+  return true;
+}
+
 bool FilterRegistry::store(const FilterVersionMeta &Meta,
                            const RuleSet &Rules) {
   std::string RulesText;

@@ -78,6 +78,12 @@ public:
   /// Returns false (and counts a StoreFailure) on any I/O error.
   bool store(const FilterVersionMeta &Meta, const RuleSet &Rules);
 
+  /// Checks, before any serving, that the directory can be created and a
+  /// file created in it: creates it, then creates and removes a probe file.
+  /// Stores nothing and counts nothing.  On failure returns false with a
+  /// diagnostic naming the directory in \p Error.
+  bool probeWritable(std::string &Error) const;
+
   /// Loads version \p Version, validating the full ladder: magic,
   /// checksum, embedded version == requested, rule-set syntax.  Errors
   /// carry the entry path and a specific reason.

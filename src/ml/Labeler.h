@@ -23,7 +23,7 @@ namespace schedfilter {
 /// Raw per-block record emitted by the instrumented scheduler: features,
 /// simulated cost unscheduled and list-scheduled, and the profile weight.
 struct BlockRecord {
-  FeatureVector X;
+  FeatureVector X{};
   uint64_t CostNoSched = 0;
   uint64_t CostSched = 0;
   uint64_t ExecCount = 1;

@@ -1,31 +1,40 @@
 //===- ml/Ripper.cpp - RIPPER rule induction --------------------------------===//
 //
-// The indexed training engine.  The naive trainer re-sorted every feature
-// column for every candidate condition of every grown rule; this one
-// sorts each feature column exactly once per train() call over a flat
-// Dataset::ColumnView and keeps everything downstream sort-free:
+// The rank-histogram training engine.  The naive trainer re-sorted every
+// feature column for every candidate condition of every grown rule; this
+// one sorts each feature column exactly once per train() call over a
+// flat Dataset::ColumnView, turns the sort into a dense per-instance value
+// rank, and from then on works only with rank histograms and one-bit-per-
+// instance masks:
 //
-//  - The *grow universe* (instances a rule may be grown over) is held per
-//    feature in value order and shrunk as rules claim coverage, so
-//    materializing a rule's covered set is a filtered walk, never a walk
-//    of the whole dataset.
-//  - Grow-phase coverage is an L1-resident bit-set (one bit per
-//    instance), cleared in O(n/64) per rule and filtered per condition.
-//  - Finding the best FOIL condition is a sweep over the presorted
-//    covered entries, O(features x covered) per condition instead of
-//    O(features x covered log covered), with an FP-sound upper bound
-//    (gain <= P * -BaseInfo) skipping provably-losing candidates.
-//  - Rule-set coverage for the MDL bookkeeping (totalDL, optimizePass,
-//    rule deletion) is computed through per-rule coverage bitmasks that
-//    the call sites OR incrementally instead of re-evaluating every rule
-//    per instance.
+//  - Every instance set the algorithm manipulates (the IREP* remainder,
+//    an optimization pass's reaching set, grow/prune splits, a rule's
+//    covered set) is a bit mask over the instances; the class of an
+//    instance is one more mask.  Counting a set's positives/negatives is
+//    a popcount, so the MDL exception counts, the pruning counts and the
+//    coverage checks are the same integers as per-instance evaluation.
+//  - Finding the best FOIL condition builds, per feature, a count
+//    histogram of the covered instances over that feature's value ranks
+//    and sweeps its non-empty bins in ascending rank: O(covered +
+//    ranks/64) per feature and condition, with the same value groups in
+//    the same order as a walk of the sorted column.  An FP-sound upper
+//    bound (gain <= P * -BaseInfo) skips provably-losing candidates.
+//  - Condition masks are cached per train() in a flat slot array keyed
+//    by (feature, operator, value rank), so a rule's coverage -- for the
+//    grow filter, pruning, the MDL bookkeeping (totalDL, optimizePass,
+//    rule deletion) -- is an AND of cached masks.  Nothing outlives the
+//    train() call: each train is a pure function of its Dataset.
 //
 // Per-feature sweeps optionally fan out across a shared TaskPool; the
 // argmax is reduced in feature order with the exact strict-greater tie
 // policy of the serial sweep, so the induced RuleSet is bit-for-bit
 // identical at any job count and to the pre-index implementation
 // (tests/ripper_engine_test.cpp pins both; bench_train_scale tracks the
-// speedup in BENCH_train_scale.json).
+// speedup in BENCH_train_scale.json).  A threshold is its value group's
+// entry in the rank table -- the value of the group's lowest-index
+// instance -- which is the reference's choice unless a group mixes -0.0
+// and +0.0; then only the sign of the zero can differ, never a
+// prediction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +50,11 @@ using namespace schedfilter;
 
 namespace {
 
-/// Index-based view: all algorithms below manipulate vectors of instance
-/// indices into one Dataset.
+/// Instance indices, for the shuffled grow/prune split.
 using IndexList = std::vector<int>;
+
+/// One bit per instance; bits past the instance count are always clear.
+using Mask = std::vector<uint64_t>;
 
 /// Thread-safe lgamma: the C lgamma() stores the gamma function's sign
 /// in the global `signgam`, which is a data race when pool workers train
@@ -83,6 +94,16 @@ void shuffle(IndexList &V, Rng &R) {
     std::swap(V[I - 1], V[R.below(static_cast<uint32_t>(I))]);
 }
 
+size_t popcount(uint64_t W) {
+  return static_cast<size_t>(__builtin_popcountll(W));
+}
+
+unsigned lowestBit(uint64_t W) {
+  return static_cast<unsigned>(__builtin_ctzll(W));
+}
+
+void setBit(Mask &M, size_t I) { M[I >> 6] |= 1ull << (I & 63); }
+
 /// One feature's best candidate from a value-order sweep; reduced across
 /// features in index order.
 struct FeatureBest {
@@ -92,39 +113,16 @@ struct FeatureBest {
   bool Found = false;
 };
 
-/// One covered instance in a feature's value order: the feature value, the
-/// instance index (for bit-set filtering) and its class, packed so the
-/// per-condition sweep is a purely sequential walk.
-struct ColEntry {
-  double Val;
-  int32_t Idx;
-  int32_t Pos;
+/// A feature's per-rank class counts over the covered set, plus which
+/// ranks are occupied.  Left all-zero between sweeps.
+struct RankHistogram {
+  std::vector<uint32_t> Pos, Neg;
+  Mask Occupied;
 };
 
-/// THE ordering of this engine: ascending value, ties by instance index.
-/// Every sorted structure (the global column index, universe lists,
-/// covered lists) uses exactly this relation -- the bit-identity contract
-/// depends on there being one definition.
-bool entryLess(const ColEntry &A, const ColEntry &B) {
-  if (A.Val != B.Val)
-    return A.Val < B.Val;
-  return A.Idx < B.Idx;
-}
-
-/// Materialization strategy: walking a presorted list of \p Walkable
-/// candidates beats gathering and sorting \p Members members when it
-/// costs less than ~2 comparisons per sorted element.  Depends only on
-/// sizes, so job count never affects the choice (both strategies produce
-/// the entryLess order either way).
-bool preferWalk(size_t Walkable, size_t Members) {
-  return static_cast<double>(Walkable) <=
-         2.0 * static_cast<double>(Members) *
-             std::log2(static_cast<double>(Members) + 2.0);
-}
-
 /// The whole learning state threaded through the helper routines: the
-/// immutable column indexes built once per train() call, plus reusable
-/// coverage and mask scratch.
+/// immutable rank indexes built once per train() call, the per-train
+/// condition-mask cache, and reusable scratch.
 struct Trainer {
   const RipperOptions &Opts;
   Label Target;
@@ -133,41 +131,36 @@ struct Trainer {
 
   // --- Immutable per-train() indexes. ---
   ColumnView Cols;
-  /// IsPos[i]: instance i's label equals the target class.
-  std::vector<uint8_t> IsPos;
-  /// Order[F * n + k]: the instance at position k when feature F's column
-  /// is sorted ascending (ties broken by instance index, for determinism).
-  std::vector<int32_t> Order;
+  size_t NumInst;
+  size_t Words;
+  /// Bit i set iff instance i's label equals the target class.
+  Mask PosBits;
+  /// Bit i set for every instance.
+  Mask AllBits;
+  /// Rank[F * n + i]: the dense rank of instance i's value among feature
+  /// F's distinct values, ascending (values equal under == share a rank).
+  std::vector<uint32_t> Rank;
+  /// RankValue[F][r]: the value of rank r -- its lowest-index instance's.
+  std::vector<std::vector<double>> RankValue;
 
-  // --- Coverage-set scratch (reused across every grown rule; no
-  // --- steady-state allocations). ---
-  /// Bit i set iff instance i is in the current covered set.  One bit per
-  /// instance keeps the whole set L1-resident (2 KB at 16k instances --
-  /// the epoch-stamped uint64 variant measured 3x slower on the gather-
-  /// heavy index walks), and resetting is an O(n/64) fill.
-  std::vector<uint64_t> CovBits;
-  /// The covered set as a list (stable instance order), for re-marking.
-  std::vector<int32_t> CovList;
-  /// The grow *universe*: the instances a rule may currently be grown
-  /// over (buildRuleList: the not-yet-covered remainder; optimizePass:
-  /// the instances reaching the rule under revision).  Kept per feature
-  /// in value order and shrunk as rules claim coverage, so growRule walks
-  /// O(|universe|), never O(n), to materialize its covered set.
-  std::vector<std::vector<ColEntry>> UniverseOrd;
-  std::vector<uint64_t> UniverseBits;
-  std::vector<int32_t> UniverseList;
-  /// Per feature: the covered instances in that feature's sorted value
-  /// order.  Rebuilt per grown rule, filtered in place per condition.
-  std::vector<std::vector<ColEntry>> OrderedCov;
+  // --- Per-train condition-mask cache. ---
+  /// SlotBase[F] + 2 * r + (IsLessEqual ? 0 : 1) is the slot of the
+  /// condition (F, op, RankValue[F][r]).
+  std::vector<size_t> SlotBase;
+  /// Slot -> 1 + index into CondMasks, or 0 when not yet computed.
+  std::vector<uint32_t> Slots;
+  std::vector<Mask> CondMasks;
+  /// Holds the mask of a condition whose threshold has no rank (only a
+  /// NaN threshold can), which is computed but never cached.
+  Mask UncachedMask;
+
+  // --- Scratch, reused across grown rules. ---
+  /// The grow-phase covered set.
+  Mask CovBits;
+  std::vector<RankHistogram> Hists;
   /// Per-feature sweep results (index-owned slots for the pool).
   std::vector<FeatureBest> FeatureResults;
-  /// Prune-split instances still matched by the rule prefix under
-  /// evaluation (incremental pruneRule).
-  std::vector<int32_t> PrunePosCur, PruneNegCur;
-  /// Bitmask scratch for rule-coverage counting (totalDL, optimizePass):
-  /// one bit per instance, branchless column scans instead of per-instance
-  /// rule evaluation.  The counted memberships are identical.
-  std::vector<uint64_t> RuleMaskScratch, AnyMaskScratch, PrevMaskScratch;
+  Mask PruneCur, RuleMaskScratch;
 
   /// Fan per-feature work out only when each feature has enough covered
   /// instances to amortize the fork; below this, inline is faster.  A
@@ -176,41 +169,55 @@ struct Trainer {
 
   Trainer(const Dataset &Data, const RipperOptions &O, Label Tgt,
           TaskPool *P)
-      : Opts(O), Target(Tgt), Pool(P), Cols(Data.columns()) {
-    size_t N = Cols.NumInstances;
-    IsPos.resize(N);
-    for (size_t I = 0; I != N; ++I)
-      IsPos[I] = Cols.Labels[I] == Target;
-    CovBits.assign((N + 63) / 64, 0);
-    UniverseOrd.resize(NumFeatures);
-    OrderedCov.resize(NumFeatures);
+      : Opts(O), Target(Tgt), Pool(P), Cols(Data.columns()),
+        NumInst(Cols.NumInstances), Words((NumInst + 63) / 64) {
+    size_t N = NumInst;
+    PosBits.assign(Words, 0);
+    AllBits.assign(Words, 0);
+    for (size_t I = 0; I != N; ++I) {
+      setBit(AllBits, I);
+      if (Cols.Labels[I] == Target)
+        setBit(PosBits, I);
+    }
+    CovBits.assign(Words, 0);
     FeatureResults.resize(NumFeatures);
+    Hists.resize(NumFeatures);
 
-    // Sort each feature column once and count distinct values.  The
-    // condition space is two operators per distinct (feature, value) pair
-    // present in the data, exactly the count the old per-feature std::set
-    // produced.
-    Order.resize(static_cast<size_t>(NumFeatures) * N);
-    std::vector<size_t> DistinctPerFeature(NumFeatures, 0);
+    // Sort each feature column once, ties by instance index, and number
+    // its distinct values.  The condition space is two operators per
+    // distinct (feature, value) pair present in the data.
+    Rank.resize(static_cast<size_t>(NumFeatures) * N);
+    RankValue.resize(NumFeatures);
     forEachFeature(N, [&](unsigned F) {
       const double *Col = Cols.col(F);
-      int32_t *OrderF = Order.data() + static_cast<size_t>(F) * N;
+      std::vector<int32_t> Order(N);
       for (size_t I = 0; I != N; ++I)
-        OrderF[I] = static_cast<int32_t>(I);
-      std::sort(OrderF, OrderF + N, [Col](int32_t A, int32_t B) {
+        Order[I] = static_cast<int32_t>(I);
+      std::sort(Order.begin(), Order.end(), [Col](int32_t A, int32_t B) {
         if (Col[A] != Col[B])
           return Col[A] < Col[B];
         return A < B;
       });
-      size_t Distinct = 0;
-      for (size_t K = 0; K != N; ++K)
-        if (K == 0 || Col[OrderF[K]] != Col[OrderF[K - 1]])
-          ++Distinct;
-      DistinctPerFeature[F] = Distinct;
+      uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
+      std::vector<double> &Values = RankValue[F];
+      for (size_t K = 0; K != N; ++K) {
+        double V = Col[Order[K]];
+        if (K == 0 || V != Values.back())
+          Values.push_back(V);
+        RankF[Order[K]] = static_cast<uint32_t>(Values.size() - 1);
+      }
+      RankHistogram &H = Hists[F];
+      H.Pos.assign(Values.size(), 0);
+      H.Neg.assign(Values.size(), 0);
+      H.Occupied.assign((Values.size() + 63) / 64, 0);
     });
     size_t NumConds = 0;
-    for (size_t Distinct : DistinctPerFeature)
-      NumConds += 2 * Distinct;
+    SlotBase.resize(NumFeatures);
+    for (unsigned F = 0; F != NumFeatures; ++F) {
+      SlotBase[F] = NumConds;
+      NumConds += 2 * RankValue[F].size();
+    }
+    Slots.assign(NumConds, 0);
     CondSpaceBits =
         std::log2(std::max<double>(2.0, static_cast<double>(NumConds)));
   }
@@ -230,31 +237,84 @@ struct Trainer {
       Body(F);
   }
 
-  /// Does instance \p I satisfy \p C?  Compares the same doubles as
-  /// Condition::matches against the row-major FeatureVector.
-  bool condMatches(const Condition &C, int32_t I) const {
-    double V = Cols.col(C.Feature)[static_cast<size_t>(I)];
-    return C.IsLessEqual ? V <= C.Threshold : V >= C.Threshold;
+  /// The instances satisfying \p C: a branchless scan of its column
+  /// comparing the same doubles as Condition::matches.  Cached for the
+  /// rest of the train() call.
+  const Mask &condMask(const Condition &C) {
+    const std::vector<double> &Values = RankValue[C.Feature];
+    size_t R = static_cast<size_t>(
+        std::lower_bound(Values.begin(), Values.end(), C.Threshold) -
+        Values.begin());
+    bool Ranked = R != Values.size() && Values[R] == C.Threshold;
+    size_t Slot = SlotBase[C.Feature] + 2 * R + (C.IsLessEqual ? 0 : 1);
+    if (Ranked && Slots[Slot] != 0)
+      return CondMasks[Slots[Slot] - 1];
+
+    Mask M(Words, 0);
+    const double *Col = Cols.col(C.Feature);
+    double T = C.Threshold;
+    for (size_t W = 0; W != Words; ++W) {
+      size_t Base = W * 64;
+      size_t End = std::min<size_t>(64, NumInst - Base);
+      uint64_t Bits = 0;
+      if (C.IsLessEqual) {
+        for (size_t B = 0; B != End; ++B)
+          Bits |= static_cast<uint64_t>(Col[Base + B] <= T) << B;
+      } else {
+        for (size_t B = 0; B != End; ++B)
+          Bits |= static_cast<uint64_t>(Col[Base + B] >= T) << B;
+      }
+      M[W] = Bits;
+    }
+    if (!Ranked) {
+      UncachedMask = std::move(M);
+      return UncachedMask;
+    }
+    CondMasks.push_back(std::move(M));
+    Slots[Slot] = static_cast<uint32_t>(CondMasks.size());
+    return CondMasks.back();
   }
 
-  /// Does instance \p I satisfy every condition of \p R?
-  bool ruleMatches(const Rule &R, int32_t I) const {
+  /// Fills \p Out with the instances satisfying every condition of \p R.
+  void ruleMask(const Rule &R, Mask &Out) {
+    Out = AllBits;
     for (const Condition &C : R.Conditions)
-      if (!condMatches(C, I))
-        return false;
-    return true;
+      andInto(Out, condMask(C));
   }
 
-  /// Counts how many of (\p Pos, \p Neg) the rule matches, split by class.
-  void countCoverage(const Rule &R, const IndexList &Pos,
-                     const IndexList &Neg, size_t &P, size_t &N) const {
+  /// Fills \p Any with the union of every rule's coverage mask.
+  void anyRuleMask(const std::vector<Rule> &Rules, Mask &Any) {
+    Any.assign(Words, 0);
+    for (const Rule &R : Rules) {
+      ruleMask(R, RuleMaskScratch);
+      orInto(Any, RuleMaskScratch);
+    }
+  }
+
+  static void orInto(Mask &Dst, const Mask &Src) {
+    for (size_t W = 0; W != Dst.size(); ++W)
+      Dst[W] |= Src[W];
+  }
+
+  static void andInto(Mask &Dst, const Mask &Src) {
+    for (size_t W = 0; W != Dst.size(); ++W)
+      Dst[W] &= Src[W];
+  }
+
+  /// Counts \p M's instances by class: \p P targets, \p N others.
+  void countClasses(const Mask &M, size_t &P, size_t &N) const {
     P = N = 0;
-    for (int I : Pos)
-      if (ruleMatches(R, I))
-        ++P;
-    for (int I : Neg)
-      if (ruleMatches(R, I))
-        ++N;
+    for (size_t W = 0; W != Words; ++W) {
+      P += popcount(M[W] & PosBits[W]);
+      N += popcount(M[W] & ~PosBits[W]);
+    }
+  }
+
+  bool hasPositive(const Mask &M) const {
+    for (size_t W = 0; W != Words; ++W)
+      if (M[W] & PosBits[W])
+        return true;
+    return false;
   }
 
   /// Theory cost of one rule (Cohen's redundancy-adjusted encoding).
@@ -263,80 +323,23 @@ struct Trainer {
     return 0.5 * (std::log2(K + 1.0) + K * CondSpaceBits);
   }
 
-  /// Fills \p Mask with one bit per instance: set iff the instance
-  /// satisfies every condition of \p R.  Each condition is a branchless
-  /// sequential scan of its column; the memberships are exactly those of
-  /// per-instance rule evaluation.  Bits past the instance count may be
-  /// set and must not be read.
-  void ruleMask(const Rule &R, std::vector<uint64_t> &Mask) const {
-    size_t N = Cols.NumInstances;
-    size_t Words = (N + 63) / 64;
-    Mask.assign(Words, ~0ull);
-    for (const Condition &C : R.Conditions) {
-      const double *Col = Cols.col(C.Feature);
-      double T = C.Threshold;
-      for (size_t W = 0; W != Words; ++W) {
-        size_t Base = W * 64;
-        size_t End = std::min<size_t>(64, N - Base);
-        uint64_t M = 0;
-        if (C.IsLessEqual) {
-          for (size_t B = 0; B != End; ++B)
-            M |= static_cast<uint64_t>(Col[Base + B] <= T) << B;
-        } else {
-          for (size_t B = 0; B != End; ++B)
-            M |= static_cast<uint64_t>(Col[Base + B] >= T) << B;
-        }
-        Mask[W] &= M;
-      }
-    }
-  }
-
-  /// Fills \p Any with the union of every rule's coverage mask.
-  void anyRuleMask(const std::vector<Rule> &Rules,
-                   std::vector<uint64_t> &Any) {
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    Any.assign(Words, 0);
-    for (const Rule &R : Rules) {
-      ruleMask(R, RuleMaskScratch);
-      for (size_t W = 0; W != Words; ++W)
-        Any[W] |= RuleMaskScratch[W];
-    }
-  }
-
-  static bool maskBit(const std::vector<uint64_t> &Mask, int I) {
-    return (Mask[static_cast<size_t>(I) >> 6] >>
-            (static_cast<size_t>(I) & 63)) &
-           1;
-  }
-
-  static void orInto(std::vector<uint64_t> &Dst,
-                     const std::vector<uint64_t> &Src) {
-    for (size_t W = 0; W != Dst.size(); ++W)
-      Dst[W] |= Src[W];
-  }
-
-  /// Description length given a precomputed covered-by-any mask: exception
-  /// bits from the coverage counts over (\p Pos, \p Neg) plus theory bits
-  /// for every rule of \p Rules except index \p Skip (pass
+  /// Description length given a precomputed covered-by-any mask:
+  /// exception bits from the coverage counts over \p Members plus theory
+  /// bits for every rule of \p Rules except index \p Skip (pass
   /// Rules.size() to include all) -- accumulated in list order, exactly as
   /// the direct computation would.
-  double dlFromMask(const std::vector<uint64_t> &Any,
-                    const std::vector<Rule> &Rules, size_t Skip,
-                    const IndexList &Pos, const IndexList &Neg) const {
-    size_t Covered = 0, FP = 0, FN = 0;
-    for (int I : Pos) {
-      if (maskBit(Any, I))
-        ++Covered;
-      else
-        ++FN;
+  double dlFromMask(const Mask &Any, const std::vector<Rule> &Rules,
+                    size_t Skip, const Mask &Members) const {
+    size_t CovP = 0, CovN = 0, TotP = 0, TotN = 0;
+    for (size_t W = 0; W != Words; ++W) {
+      uint64_t P = Members[W] & PosBits[W], N = Members[W] & ~PosBits[W];
+      TotP += popcount(P);
+      TotN += popcount(N);
+      CovP += popcount(Any[W] & P);
+      CovN += popcount(Any[W] & N);
     }
-    for (int I : Neg) {
-      if (maskBit(Any, I)) {
-        ++Covered;
-        ++FP;
-      }
-    }
-    size_t Total = Pos.size() + Neg.size();
+    size_t Covered = CovP + CovN, FP = CovN, FN = TotP - CovP;
+    size_t Total = TotP + TotN;
     double DL = subsetDL(Covered, FP) + subsetDL(Total - Covered, FN);
     for (size_t R = 0; R != Rules.size(); ++R)
       if (R != Skip)
@@ -344,28 +347,40 @@ struct Trainer {
     return DL;
   }
 
-  /// Stratified grow/prune split of (Pos, Neg).
-  void splitGrowPrune(const IndexList &Pos, const IndexList &Neg, Rng &R,
-                      IndexList &GrowPos, IndexList &GrowNeg,
-                      IndexList &PrunePos, IndexList &PruneNeg) const {
-    IndexList P = Pos, N = Neg;
+  /// Stratified grow/prune split of \p Members: each class, in instance
+  /// order, is shuffled and its first GrowFraction goes to \p Grow.  The
+  /// reference's index lists are always in instance order too, so the
+  /// seeded shuffle draws the same split.
+  void splitGrowPrune(const Mask &Members, Rng &R, Mask &Grow,
+                      Mask &Prune) const {
+    IndexList P, N;
+    for (size_t W = 0; W != Words; ++W) {
+      int Base = static_cast<int>(W * 64);
+      for (uint64_t B = Members[W] & PosBits[W]; B; B &= B - 1)
+        P.push_back(Base + static_cast<int>(lowestBit(B)));
+      for (uint64_t B = Members[W] & ~PosBits[W]; B; B &= B - 1)
+        N.push_back(Base + static_cast<int>(lowestBit(B)));
+    }
     shuffle(P, R);
     shuffle(N, R);
-    size_t PG = static_cast<size_t>(
-        std::ceil(Opts.GrowFraction * static_cast<double>(P.size())));
-    size_t NG = static_cast<size_t>(
-        std::ceil(Opts.GrowFraction * static_cast<double>(N.size())));
-    GrowPos.assign(P.begin(), P.begin() + static_cast<long>(PG));
-    PrunePos.assign(P.begin() + static_cast<long>(PG), P.end());
-    GrowNeg.assign(N.begin(), N.begin() + static_cast<long>(NG));
-    PruneNeg.assign(N.begin() + static_cast<long>(NG), N.end());
+    Grow.assign(Words, 0);
+    Prune.assign(Words, 0);
+    for (const IndexList *L : {&P, &N}) {
+      size_t G = static_cast<size_t>(
+          std::ceil(Opts.GrowFraction * static_cast<double>(L->size())));
+      for (size_t K = 0; K != L->size(); ++K)
+        setBit(K < G ? Grow : Prune, static_cast<size_t>((*L)[K]));
+    }
   }
 
-  /// Sweeps feature \p F's covered instances in presorted value order and
-  /// records the best candidate threshold by FOIL information gain.  The
-  /// prefix counts (P, N with value <= v) are exactly what the old
-  /// sort-per-condition sweep counted; the gain expression and the
-  /// strict-greater tie policy are unchanged, so the winner is too.
+  /// Sweeps feature \p F's covered instances in value order and records
+  /// the best candidate threshold by FOIL information gain.  The covered
+  /// set is first counted into the feature's rank histogram; walking the
+  /// occupied ranks in ascending order visits exactly the distinct-value
+  /// groups of the sorted covered column, so the prefix counts (P, N with
+  /// value <= v), the gain expression and the strict-greater tie policy
+  /// -- and hence the winner -- are those of the sort-per-condition
+  /// sweep.  The sweep leaves the histogram zeroed for the next call.
   ///
   /// \p Hint carries the largest gain any feature's sweep has *exactly*
   /// achieved so far (monotone; updated as features finish).  Since
@@ -378,45 +393,61 @@ struct Trainer {
   /// ever changes: results are bit-identical with the hint arriving in
   /// any order, including not at all.
   void scanFeature(unsigned F, size_t P0, size_t N0, double BaseInfo,
-                   std::atomic<double> &Hint, FeatureBest &Out) const {
-    const std::vector<ColEntry> &Ord = OrderedCov[F];
+                   std::atomic<double> &Hint, FeatureBest &Out) {
+    RankHistogram &H = Hists[F];
+    const uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * NumInst;
+    for (size_t W = 0; W != Words; ++W) {
+      uint64_t Cov = CovBits[W];
+      for (uint64_t B = Cov & PosBits[W]; B; B &= B - 1) {
+        uint32_t R = RankF[W * 64 + lowestBit(B)];
+        ++H.Pos[R];
+        H.Occupied[R >> 6] |= 1ull << (R & 63);
+      }
+      for (uint64_t B = Cov & ~PosBits[W]; B; B &= B - 1) {
+        uint32_t R = RankF[W * 64 + lowestBit(B)];
+        ++H.Neg[R];
+        H.Occupied[R >> 6] |= 1ull << (R & 63);
+      }
+    }
+
+    const std::vector<double> &Values = RankValue[F];
     double BestGain = 1e-9;
     double HintGain = Hint.load(std::memory_order_relaxed);
     double NegBase = 0.0 - BaseInfo; // >= 0: BaseInfo = log2(ratio <= 1)
     FeatureBest Best;
     size_t PrefP = 0, PrefN = 0;
-    for (size_t K = 0; K != Ord.size();) {
-      double V = Ord[K].Val;
-      // One distinct-value group: count its positives/negatives.
-      size_t GP = 0, GN = 0;
-      while (K != Ord.size() && Ord[K].Val == V) {
-        GP += static_cast<size_t>(Ord[K].Pos);
-        GN += static_cast<size_t>(1 - Ord[K].Pos);
-        ++K;
+    for (size_t OW = 0; OW != H.Occupied.size(); ++OW) {
+      for (uint64_t B = H.Occupied[OW]; B; B &= B - 1) {
+        size_t R = OW * 64 + lowestBit(B);
+        // One distinct-value group: its positives/negatives.
+        size_t GP = H.Pos[R], GN = H.Neg[R];
+        H.Pos[R] = H.Neg[R] = 0;
+        double V = Values[R];
+        PrefP += GP;
+        PrefN += GN;
+        auto Consider = [&](bool IsLE, size_t P, size_t N) {
+          if (P == 0)
+            return;
+          if (P + N == P0 + N0)
+            return; // excludes nothing; useless condition
+          double Bound = static_cast<double>(P) * NegBase;
+          if (Bound <= BestGain || Bound < HintGain)
+            return; // provably cannot beat a winner
+          double Gain = static_cast<double>(P) *
+                        (std::log2(static_cast<double>(P) /
+                                   static_cast<double>(P + N)) -
+                         BaseInfo);
+          if (Gain > BestGain) {
+            BestGain = Gain;
+            Best = {Gain, V, IsLE, true};
+          }
+        };
+        // X[F] <= V keeps the prefix (group included).
+        Consider(true, PrefP, PrefN);
+        // X[F] >= V keeps this value group and the suffix.
+        Consider(false, P0 - (PrefP - GP), N0 - (PrefN - GN));
       }
-      PrefP += GP;
-      PrefN += GN;
-      auto Consider = [&](bool IsLE, size_t P, size_t N) {
-        if (P == 0)
-          return;
-        if (P + N == P0 + N0)
-          return; // excludes nothing; useless condition
-        double Bound = static_cast<double>(P) * NegBase;
-        if (Bound <= BestGain || Bound < HintGain)
-          return; // provably cannot beat a winner
-        double Gain =
-            static_cast<double>(P) *
-            (std::log2(static_cast<double>(P) / static_cast<double>(P + N)) -
-             BaseInfo);
-        if (Gain > BestGain) {
-          BestGain = Gain;
-          Best = {Gain, V, IsLE, true};
-        }
-      };
-      // X[F] <= V keeps the prefix (group included).
-      Consider(true, PrefP, PrefN);
-      // X[F] >= V keeps this value group and the suffix.
-      Consider(false, P0 - (PrefP - GP), N0 - (PrefN - GN));
+      H.Occupied[OW] = 0;
     }
     Out = Best;
     // Publish this feature's exactly-achieved gain for later sweeps.
@@ -428,12 +459,12 @@ struct Trainer {
   }
 
   /// Finds the single condition with the highest FOIL information gain
-  /// over the currently covered grow instances (\p CovP positives,
-  /// \p CovN negatives).  Per-feature sweeps run independently -- on the
-  /// pool when attached -- and the argmax is reduced in feature order
-  /// with the serial sweep's strict-greater policy (lowest feature index
-  /// wins ties).  Returns false when no condition has positive gain (or
-  /// none excludes anything).
+  /// over the covered grow instances (\p CovP positives, \p CovN
+  /// negatives).  Per-feature sweeps run independently -- on the pool
+  /// when attached -- and the argmax is reduced in feature order with the
+  /// serial sweep's strict-greater policy (lowest feature index wins
+  /// ties).  Returns false when no condition has positive gain (or none
+  /// excludes anything).
   bool findBestCondition(size_t CovP, size_t CovN, Condition &Best) {
     size_t P0 = CovP, N0 = CovN;
     if (P0 == 0)
@@ -457,182 +488,40 @@ struct Trainer {
     return Found;
   }
 
-  /// Installs (\p Pos, \p Neg) as the grow universe: per feature, those
-  /// instances in value order.  Two bit-identical strategies, chosen
-  /// purely by size (so job count never affects the choice): walk the
-  /// global presorted index and keep members -- O(n) per feature, right
-  /// when the universe is most of the data -- or gather the members and
-  /// sort them directly -- O(u log u), right for small mop-up sets.
-  void setUniverse(const IndexList &Pos, const IndexList &Neg) {
-    size_t N = Cols.NumInstances;
-    UniverseBits.assign((N + 63) / 64, 0);
-    UniverseList.clear();
-    for (const IndexList *L : {&Pos, &Neg})
-      for (int I : *L) {
-        UniverseBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
-        UniverseList.push_back(I);
-      }
-    size_t U = UniverseList.size();
-    bool WalkIndex = preferWalk(N, U);
-    forEachFeature(WalkIndex ? N : U, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = UniverseOrd[F];
-      Ord.clear();
-      Ord.reserve(U);
-      const double *Col = Cols.col(F);
-      if (WalkIndex) {
-        const int32_t *OrderF = Order.data() + static_cast<size_t>(F) * N;
-        for (size_t K = 0; K != N; ++K) {
-          int32_t I = OrderF[K];
-          if (maskBit(UniverseBits, I))
-            Ord.push_back({Col[static_cast<size_t>(I)], I,
-                           static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        }
-      } else {
-        for (int32_t I : UniverseList)
-          Ord.push_back({Col[static_cast<size_t>(I)], I,
-                         static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        std::sort(Ord.begin(), Ord.end(), entryLess);
-      }
-    });
-  }
-
-  /// Removes every instance whose bit is set in \p DropMask from the
-  /// universe (order of the survivors is preserved).
-  void shrinkUniverse(const std::vector<uint64_t> &DropMask) {
-    size_t U = UniverseOrd.empty() ? 0 : UniverseOrd[0].size();
-    forEachFeature(U, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = UniverseOrd[F];
-      size_t O = 0;
-      for (const ColEntry &E : Ord)
-        if (!maskBit(DropMask, E.Idx))
-          Ord[O++] = E;
-      Ord.resize(O);
-    });
-    for (size_t W = 0; W != UniverseBits.size(); ++W)
-      UniverseBits[W] &= ~DropMask[W];
-  }
-
-  /// Restricts the covered set to instances satisfying \p C: clears the
-  /// coverage bits of the dropped instances and filters every per-feature
-  /// ordered list (filtering preserves their value order).
-  void applyCondition(const Condition &C, size_t &CovP, size_t &CovN) {
-    CovP = CovN = 0;
-    size_t W = 0;
-    for (int32_t I : CovList) {
-      if (!condMatches(C, I)) {
-        CovBits[static_cast<size_t>(I) >> 6] &=
-            ~(1ull << (static_cast<size_t>(I) & 63));
-        continue;
-      }
-      CovList[W++] = I;
-      if (IsPos[static_cast<size_t>(I)])
-        ++CovP;
-      else
-        ++CovN;
-    }
-    CovList.resize(W);
-    forEachFeature(W, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = OrderedCov[F];
-      size_t O = 0;
-      for (const ColEntry &E : Ord)
-        if (maskBit(CovBits, E.Idx))
-          Ord[O++] = E;
-      Ord.resize(O);
-    });
-  }
-
   /// Grows \p R (possibly already containing conditions, for revisions) by
-  /// adding best-gain conditions until no negatives remain covered.
-  void growRule(Rule &R, const IndexList &GrowPos,
-                const IndexList &GrowNeg) {
-    // Seed the covered set with the grow instances the rule already
-    // matches.
-    std::fill(CovBits.begin(), CovBits.end(), 0);
-    CovList.clear();
-    size_t CovP = 0, CovN = 0;
-    for (int I : GrowPos)
-      if (ruleMatches(R, I)) {
-        CovList.push_back(I);
-        CovBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
-        ++CovP;
-      }
-    for (int I : GrowNeg)
-      if (ruleMatches(R, I)) {
-        CovList.push_back(I);
-        CovBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
-        ++CovN;
-      }
-    if (CovN == 0 || R.size() >= Opts.MaxConditionsPerRule)
-      return;
-
-    // Materialize the covered set per feature in value order, once per
-    // grown rule: every subsequent condition sweeps it sort-free.  The
-    // covered set is a subset of the grow universe, so this is a filtered
-    // walk of the (already shrunk) per-feature universe lists -- never of
-    // the whole dataset -- unless the covered set is so much smaller that
-    // sorting it directly wins (preferWalk).
-    size_t CovSize = CovList.size();
-    size_t U = UniverseOrd[0].size();
-    bool WalkUniverse = preferWalk(U, CovSize);
-    forEachFeature(WalkUniverse ? U : CovSize, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = OrderedCov[F];
-      Ord.clear();
-      Ord.reserve(CovSize);
-      if (WalkUniverse) {
-        for (const ColEntry &E : UniverseOrd[F])
-          if (maskBit(CovBits, E.Idx))
-            Ord.push_back(E);
-      } else {
-        const double *Col = Cols.col(F);
-        for (int32_t I : CovList)
-          Ord.push_back({Col[static_cast<size_t>(I)], I,
-                         static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        std::sort(Ord.begin(), Ord.end(), entryLess);
-      }
-    });
-
+  /// adding best-gain conditions until it covers no negatives of \p Grow.
+  void growRule(Rule &R, const Mask &Grow) {
+    ruleMask(R, CovBits);
+    andInto(CovBits, Grow);
+    size_t CovP, CovN;
+    countClasses(CovBits, CovP, CovN);
     while (CovN != 0 && R.size() < Opts.MaxConditionsPerRule) {
       Condition C;
       if (!findBestCondition(CovP, CovN, C))
         break;
       R.Conditions.push_back(C);
-      applyCondition(C, CovP, CovN);
+      andInto(CovBits, condMask(C));
+      countClasses(CovBits, CovP, CovN);
     }
   }
 
-  /// Prunes \p R against the prune split: keeps the prefix of conditions
+  /// Prunes \p R against \p Prune: keeps the prefix of conditions
   /// maximizing (p - n) / (p + n).  May prune to the empty rule, which the
-  /// caller must treat as "stop".  Prefix coverage is tracked
-  /// incrementally -- each condition filters the surviving prune
-  /// instances -- producing the exact counts of the old per-prefix
-  /// recount.
-  void pruneRule(Rule &R, const IndexList &PrunePos,
-                 const IndexList &PruneNeg) {
+  /// caller must treat as "stop".  Prefix coverage narrows by one
+  /// condition mask per length.
+  void pruneRule(Rule &R, const Mask &Prune) {
     if (R.Conditions.empty())
       return;
     double BestWorth = -2.0;
     size_t BestLen = R.size();
-    PrunePosCur.assign(PrunePos.begin(), PrunePos.end());
-    PruneNegCur.assign(PruneNeg.begin(), PruneNeg.end());
+    PruneCur = Prune;
     // Evaluate every prefix length, shortest to longest; strictly-better
     // keeps the shorter (simpler) rule on ties.
     for (size_t Len = 0; Len <= R.size(); ++Len) {
-      if (Len > 0) {
-        const Condition &C = R.Conditions[Len - 1];
-        auto Filter = [&](std::vector<int32_t> &L) {
-          size_t W = 0;
-          for (int32_t I : L)
-            if (condMatches(C, I))
-              L[W++] = I;
-          L.resize(W);
-        };
-        Filter(PrunePosCur);
-        Filter(PruneNegCur);
-      }
-      size_t P = PrunePosCur.size(), N = PruneNegCur.size();
+      if (Len > 0)
+        andInto(PruneCur, condMask(R.Conditions[Len - 1]));
+      size_t P, N;
+      countClasses(PruneCur, P, N);
       double Worth = (P + N) == 0
                          ? 0.0
                          : (static_cast<double>(P) - static_cast<double>(N)) /
@@ -646,48 +535,46 @@ struct Trainer {
   }
 
   /// IREP* main loop: returns an ordered list of rules for the target
-  /// class covering \p Pos against \p Neg.  The MDL check after each
-  /// accepted rule ORs the new rule's coverage mask into an accumulator
-  /// instead of re-evaluating every prior rule -- same memberships, same
-  /// description lengths.
-  std::vector<Rule> buildRuleList(IndexList Pos, IndexList Neg, Rng &R) {
+  /// class covering the positives of \p Members against its negatives.
+  /// The MDL check after each accepted rule ORs the new rule's coverage
+  /// mask into an accumulator instead of re-evaluating every prior rule.
+  std::vector<Rule> buildRuleList(const Mask &Members, Rng &R) {
     std::vector<Rule> Rules;
-    if (Pos.empty())
+    if (!hasPositive(Members))
       return Rules;
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    std::vector<uint64_t> AccumMask(Words, 0), CandMask;
-    IndexList AllPos = Pos, AllNeg = Neg;
-    setUniverse(Pos, Neg);
-    double BestDL = dlFromMask(AccumMask, Rules, Rules.size(), Pos, Neg);
+    Mask Remaining = Members, AccumMask(Words, 0), CandMask, Grow, Prune,
+         NewMask;
+    double BestDL = dlFromMask(AccumMask, Rules, Rules.size(), Members);
 
-    while (!Pos.empty() && Rules.size() < Opts.MaxRules) {
-      IndexList GP, GN, PP, PN;
-      splitGrowPrune(Pos, Neg, R, GP, GN, PP, PN);
+    while (hasPositive(Remaining) && Rules.size() < Opts.MaxRules) {
+      splitGrowPrune(Remaining, R, Grow, Prune);
 
       Rule NewRule;
       NewRule.Conclusion = Target;
-      growRule(NewRule, GP, GN);
-      pruneRule(NewRule, PP, PN);
+      growRule(NewRule, Grow);
+      pruneRule(NewRule, Prune);
       if (NewRule.Conditions.empty())
         break;
+      ruleMask(NewRule, NewMask);
 
       // Reject rules that are wrong more often than right on prune data.
       size_t P, N;
-      countCoverage(NewRule, PP, PN, P, N);
+      CandMask = NewMask;
+      andInto(CandMask, Prune);
+      countClasses(CandMask, P, N);
       if (P + N > 0 && N > P)
         break;
 
       // The rule must make progress on the remaining positives.
-      size_t CovP, CovN;
-      countCoverage(NewRule, Pos, Neg, CovP, CovN);
-      if (CovP == 0)
+      CandMask = NewMask;
+      andInto(CandMask, Remaining);
+      if (!hasPositive(CandMask))
         break;
 
       Rules.push_back(NewRule);
-      ruleMask(NewRule, RuleMaskScratch);
       CandMask = AccumMask;
-      orInto(CandMask, RuleMaskScratch);
-      double DL = dlFromMask(CandMask, Rules, Rules.size(), AllPos, AllNeg);
+      orInto(CandMask, NewMask);
+      double DL = dlFromMask(CandMask, Rules, Rules.size(), Members);
       if (DL < BestDL)
         BestDL = DL;
       if (DL > BestDL + Opts.MdlSlackBits) {
@@ -695,73 +582,54 @@ struct Trainer {
         break;
       }
       AccumMask.swap(CandMask);
-
-      auto RemoveCovered = [&](IndexList &L) {
-        IndexList Out;
-        Out.reserve(L.size());
-        for (int I : L)
-          if (!maskBit(RuleMaskScratch, I))
-            Out.push_back(I);
-        L = std::move(Out);
-      };
-      RemoveCovered(Pos);
-      RemoveCovered(Neg);
-      shrinkUniverse(RuleMaskScratch);
+      for (size_t W = 0; W != Words; ++W)
+        Remaining[W] &= ~NewMask[W];
     }
     return Rules;
   }
 
   /// One optimization pass over \p Rules (replacement / revision / keep by
   /// minimum description length), followed by mop-up and rule deletion.
-  void optimizePass(std::vector<Rule> &Rules, const IndexList &AllPos,
-                    const IndexList &AllNeg, Rng &R) {
-    // PrevMaskScratch accumulates the union of rules before RI, in their
-    // *final* (possibly replaced) form -- exactly what per-instance
-    // re-evaluation saw, since rule RI-1 is settled before iteration RI.
-    // SuffMask[K] is the union of the *original* rules K..end; at
-    // iteration RI only indices > RI are consulted, which the pass has
-    // not touched yet, so the precomputation stays valid throughout.
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    PrevMaskScratch.assign(Words, 0);
-    std::vector<std::vector<uint64_t>> SuffMask(Rules.size() + 1);
+  void optimizePass(std::vector<Rule> &Rules, Rng &R) {
+    // PrevMask accumulates the union of rules before RI, in their *final*
+    // (possibly replaced) form -- exactly what per-instance re-evaluation
+    // saw, since rule RI-1 is settled before iteration RI.  SuffMask[K]
+    // is the union of the *original* rules K..end; at iteration RI only
+    // indices > RI are consulted, which the pass has not touched yet, so
+    // the precomputation stays valid throughout.
+    Mask PrevMask(Words, 0), Reach, Grow, Prune, Any;
+    std::vector<Mask> SuffMask(Rules.size() + 1);
     SuffMask[Rules.size()].assign(Words, 0);
     for (size_t K = Rules.size(); K-- > 0;) {
       ruleMask(Rules[K], RuleMaskScratch);
       SuffMask[K] = SuffMask[K + 1];
       orInto(SuffMask[K], RuleMaskScratch);
     }
-    setUniverse(AllPos, AllNeg);
     for (size_t RI = 0; RI != Rules.size(); ++RI) {
       if (RI > 0) {
         ruleMask(Rules[RI - 1], RuleMaskScratch);
-        orInto(PrevMaskScratch, RuleMaskScratch);
-        shrinkUniverse(RuleMaskScratch);
+        orInto(PrevMask, RuleMaskScratch);
       }
       // Instances that reach rule RI (not claimed by an earlier rule).
-      IndexList ReachPos, ReachNeg;
-      for (int I : AllPos)
-        if (!maskBit(PrevMaskScratch, I))
-          ReachPos.push_back(I);
-      for (int I : AllNeg)
-        if (!maskBit(PrevMaskScratch, I))
-          ReachNeg.push_back(I);
-      if (ReachPos.empty())
+      Reach = AllBits;
+      for (size_t W = 0; W != Words; ++W)
+        Reach[W] &= ~PrevMask[W];
+      if (!hasPositive(Reach))
         continue;
 
-      IndexList GP, GN, PP, PN;
-      splitGrowPrune(ReachPos, ReachNeg, R, GP, GN, PP, PN);
+      splitGrowPrune(Reach, R, Grow, Prune);
 
       // Replacement: grown from scratch.
       Rule Replacement;
       Replacement.Conclusion = Target;
-      growRule(Replacement, GP, GN);
-      pruneRule(Replacement, PP, PN);
+      growRule(Replacement, Grow);
+      pruneRule(Replacement, Prune);
 
       // Revision: grown from the current rule.
       Rule Revision = Rules[RI];
       Revision.NumCorrect = Revision.NumIncorrect = 0;
-      growRule(Revision, GP, GN);
-      pruneRule(Revision, PP, PN);
+      growRule(Revision, Grow);
+      pruneRule(Revision, Prune);
 
       // Keep whichever of {original, replacement, revision} minimizes the
       // description length of the whole rule set.  Every variant differs
@@ -770,11 +638,11 @@ struct Trainer {
       std::vector<Rule> Variant = Rules;
       auto VariantDL = [&](const Rule &At) {
         Variant[RI] = At;
-        std::vector<uint64_t> Any = PrevMaskScratch;
+        Any = PrevMask;
         orInto(Any, SuffMask[RI + 1]);
         ruleMask(At, RuleMaskScratch);
         orInto(Any, RuleMaskScratch);
-        return dlFromMask(Any, Variant, Variant.size(), AllPos, AllNeg);
+        return dlFromMask(Any, Variant, Variant.size(), AllBits);
       };
       double DLOrig = VariantDL(Rules[RI]);
       double DLRepl = 1e300, DLRev = 1e300;
@@ -789,15 +657,11 @@ struct Trainer {
     }
 
     // Mop-up: cover positives the optimized rules no longer cover.
-    IndexList UncovPos, UncovNeg;
-    anyRuleMask(Rules, AnyMaskScratch);
-    for (int I : AllPos)
-      if (!maskBit(AnyMaskScratch, I))
-        UncovPos.push_back(I);
-    for (int I : AllNeg)
-      if (!maskBit(AnyMaskScratch, I))
-        UncovNeg.push_back(I);
-    std::vector<Rule> Extra = buildRuleList(UncovPos, UncovNeg, R);
+    Mask Uncovered;
+    anyRuleMask(Rules, Uncovered);
+    for (size_t W = 0; W != Words; ++W)
+      Uncovered[W] = AllBits[W] & ~Uncovered[W];
+    std::vector<Rule> Extra = buildRuleList(Uncovered, R);
     for (Rule &E : Extra)
       if (Rules.size() < Opts.MaxRules)
         Rules.push_back(std::move(E));
@@ -806,8 +670,7 @@ struct Trainer {
     // Each round computes every rule's coverage mask once; a
     // leave-one-out union is then cheap bit algebra instead of a full
     // re-evaluation per candidate.
-    std::vector<std::vector<uint64_t>> PerRule;
-    std::vector<uint64_t> Any;
+    std::vector<Mask> PerRule;
     bool Changed = true;
     while (Changed && !Rules.empty()) {
       Changed = false;
@@ -817,7 +680,7 @@ struct Trainer {
         ruleMask(Rules[RI], PerRule[RI]);
         orInto(Any, PerRule[RI]);
       }
-      double CurDL = dlFromMask(Any, Rules, Rules.size(), AllPos, AllNeg);
+      double CurDL = dlFromMask(Any, Rules, Rules.size(), AllBits);
       double BestDL = CurDL;
       size_t BestIdx = Rules.size();
       for (size_t RI = 0; RI != Rules.size(); ++RI) {
@@ -825,7 +688,7 @@ struct Trainer {
         for (size_t J = 0; J != Rules.size(); ++J)
           if (J != RI)
             orInto(Any, PerRule[J]);
-        double DL = dlFromMask(Any, Rules, RI, AllPos, AllNeg);
+        double DL = dlFromMask(Any, Rules, RI, AllBits);
         if (DL < BestDL) {
           BestDL = DL;
           BestIdx = RI;
@@ -859,14 +722,10 @@ RuleSet trainImpl(const Dataset &Data, const RipperOptions &Opts,
   Label Default = Target == Label::LS ? Label::NS : Label::LS;
 
   Trainer T(Data, Opts, Target, Pool);
-  IndexList Pos, Neg;
-  for (int I = 0, E = static_cast<int>(Data.size()); I != E; ++I)
-    (T.IsPos[static_cast<size_t>(I)] ? Pos : Neg).push_back(I);
-
   Rng R(Opts.Seed);
-  std::vector<Rule> Rules = T.buildRuleList(Pos, Neg, R);
+  std::vector<Rule> Rules = T.buildRuleList(T.AllBits, R);
   for (unsigned Pass = 0; Pass != Opts.OptimizePasses; ++Pass)
-    T.optimizePass(Rules, Pos, Neg, R);
+    T.optimizePass(Rules, R);
 
   RuleSet RS(Default);
   for (Rule &Rl : Rules) {

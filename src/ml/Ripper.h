@@ -22,14 +22,17 @@
 /// All randomness (grow/prune splits) comes from a seeded Rng, so training
 /// is fully deterministic.
 ///
-/// The trainer is the repository's *indexed* engine (see Ripper.cpp): it
-/// sorts each feature column once per train() call over a flat
-/// Dataset::ColumnView and sweeps candidate conditions over bit-set
-/// coverage of presorted, shrinking per-feature universes, instead of
-/// re-sorting every feature column for every candidate condition.  The
-/// pooled overload fans the per-feature sweeps across a shared TaskPool;
-/// output is bit-for-bit identical to the serial overload at any job
-/// count.
+/// The trainer is the repository's *rank-histogram* engine (see
+/// Ripper.cpp): it sorts each feature column once per train() call over a
+/// flat Dataset::ColumnView into dense per-instance value ranks, holds
+/// every instance set as a one-bit-per-instance mask, finds each
+/// candidate condition by sweeping per-feature rank histograms of the
+/// covered set, and computes rule coverage as ANDs of condition masks
+/// cached for the rest of the call -- instead of re-sorting every feature
+/// column for every candidate condition.  Nothing is kept between calls.
+/// The pooled overload fans the per-feature sweeps across a shared
+/// TaskPool; output is bit-for-bit identical to the serial overload at
+/// any job count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -270,6 +270,27 @@ TEST(FilterRegistry, RejectsRenamedEntry) {
   EXPECT_NE(E.error().Message.find("version"), std::string::npos);
 }
 
+TEST(FilterRegistry, ProbeRejectsDirectoryUnderRegularFile) {
+  // A registry path below a regular file can never be created, whoever
+  // runs the test (root included): the probe must say so up front, with
+  // the path in the diagnostic, instead of a serve failing every store.
+  TempCacheDir Dir("sffr-probe");
+  { std::ofstream(Dir.Path / "plain") << "not a directory"; }
+  FilterRegistry Bad((Dir.Path / "plain" / "reg").string());
+  std::string Error;
+  EXPECT_FALSE(Bad.probeWritable(Error));
+  EXPECT_NE(Error.find(Bad.directory()), std::string::npos) << Error;
+  EXPECT_EQ(Bad.stats().StoreFailures, 0u);
+
+  // A fresh nested path is created and left empty: probing writes no
+  // version and counts no store.
+  FilterRegistry Good((Dir.Path / "a" / "b").string());
+  EXPECT_TRUE(Good.probeWritable(Error)) << Error;
+  EXPECT_TRUE(std::filesystem::is_directory(Good.directory()));
+  EXPECT_TRUE(std::filesystem::is_empty(Good.directory()));
+  EXPECT_EQ(Good.stats().Stores, 0u);
+}
+
 TEST(FilterRegistry, ListVersionsSortedIgnoringJunk) {
   TempCacheDir Dir("sffr-list");
   FilterRegistry Reg(Dir.str());

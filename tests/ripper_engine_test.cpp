@@ -1,13 +1,16 @@
-//===- tests/ripper_engine_test.cpp - indexed-engine equivalence pins --------===//
+//===- tests/ripper_engine_test.cpp - training-engine equivalence pins ----===//
 //
-// The indexed RIPPER trainer (column indexes + bit-set coverage +
-// value-order sweeps, ml/Ripper.cpp) must produce *bit-for-bit* the
-// RuleSet of the original sort-per-condition implementation, which lives
-// on verbatim in tests/ReferenceRipper.h -- across datasets, seeds,
-// option settings and TaskPool job counts.  Plus the degenerate inputs
-// the rank-array machinery could plausibly mishandle: tiny datasets whose
-// ceil-based grow/prune split leaves an empty prune side, single-class
-// data, and all-identical feature columns.
+// The rank-histogram RIPPER trainer (value ranks + instance-set masks +
+// histogram sweeps + a per-train condition-mask cache, ml/Ripper.cpp)
+// must produce *bit-for-bit* the RuleSet of the original
+// sort-per-condition implementation, which lives on verbatim in
+// tests/ReferenceRipper.h -- across datasets, seeds, option settings and
+// TaskPool job counts.  Plus the inputs the rank machinery could
+// plausibly mishandle: tiny datasets whose ceil-based grow/prune split
+// leaves an empty prune side, single-class data, all-identical feature
+// columns, a column with a distinct value per instance, value groups
+// mixing -0.0 and +0.0, and optimization passes that revisit cached
+// conditions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,9 @@
 #include "support/TaskPool.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 using namespace schedfilter;
 
@@ -253,6 +259,106 @@ TEST(RipperEngine, ContradictoryDuplicatesMatchReference) {
   for (int I = 0; I != 300; ++I)
     D.add({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
   expectIdentical(Ripper().train(D), reference::trainReference(D), "contra");
+}
+
+// --- Inputs the rank-histogram sweep could mishandle. ---
+
+TEST(RipperEngine, ColumnWithADistinctValuePerInstance) {
+  // As many value ranks as instances: every histogram bin holds one
+  // instance, and the occupied-rank walk spans the whole rank table.
+  // Large enough (grow split > 2048) that the pooled sweeps engage.
+  const size_t N = 3300;
+  Dataset D("distinct");
+  Rng R(404);
+  for (size_t I = 0; I != N; ++I) {
+    double BBLen = static_cast<double>((I * 7919) % N) + 0.25;
+    double Loads = R.uniform();
+    bool Pos = BBLen > 0.7 * N || (BBLen > 0.4 * N && Loads > 0.6);
+    if (R.chance(0.04))
+      Pos = !Pos;
+    D.add({fv(BBLen, Loads), Pos ? Label::LS : Label::NS});
+  }
+  ColumnView CV = D.columns();
+  std::vector<double> Col(CV.col(FeatBBLen), CV.col(FeatBBLen) + N);
+  std::sort(Col.begin(), Col.end());
+  ASSERT_EQ(std::unique(Col.begin(), Col.end()) - Col.begin(),
+            static_cast<long>(N));
+
+  RuleSet Serial = Ripper().train(D);
+  expectIdentical(Serial, reference::trainReference(D), "distinct serial");
+  EXPECT_GE(Serial.size(), 1u);
+  TaskPool Pool(4);
+  expectIdentical(Ripper().train(D, Pool), Serial, "distinct jobs=4");
+}
+
+TEST(RipperEngine, MixedSignedZerosPredictLikeReference) {
+  // CSV traces can carry -0.0 (strtod("-0") returns it), and -0.0 ==
+  // +0.0, so one value group may mix both.  The engine's threshold is the
+  // rank table's zero and the reference's the first covered zero; they
+  // may differ in sign only, which no comparison can see.  Required:
+  // the same rules up to ==, the same prediction on every instance, and
+  // byte identity between job counts.
+  Dataset D("signed-zeros");
+  Rng R(11);
+  for (int I = 0; I != 3300; ++I) {
+    bool Zero = R.chance(0.5);
+    double Calls = Zero ? (R.chance(0.5) ? -0.0 : 0.0) : R.range(1, 4);
+    double BBLen = R.range(1, 24);
+    bool Pos = (Zero && BBLen >= 10) || BBLen >= 20;
+    if (R.chance(0.03))
+      Pos = !Pos;
+    D.add({fv(BBLen, R.uniform(), Calls), Pos ? Label::LS : Label::NS});
+  }
+  size_t NegZeros = 0, PosZeros = 0;
+  for (const Instance &In : D)
+    if (In.X[FeatCall] == 0.0)
+      ++(std::signbit(In.X[FeatCall]) ? NegZeros : PosZeros);
+  ASSERT_GT(NegZeros, 0u);
+  ASSERT_GT(PosZeros, 0u);
+
+  RuleSet Engine = Ripper().train(D);
+  RuleSet Ref = reference::trainReference(D);
+  ASSERT_EQ(Engine.size(), Ref.size());
+  bool ZeroThreshold = false;
+  for (size_t RI = 0; RI != Engine.size(); ++RI) {
+    const Rule &A = Engine.rules()[RI], &B = Ref.rules()[RI];
+    EXPECT_EQ(A.NumCorrect, B.NumCorrect) << "rule " << RI;
+    EXPECT_EQ(A.NumIncorrect, B.NumIncorrect) << "rule " << RI;
+    ASSERT_EQ(A.size(), B.size()) << "rule " << RI;
+    for (size_t C = 0; C != A.size(); ++C) {
+      EXPECT_EQ(A.Conditions[C].Feature, B.Conditions[C].Feature);
+      EXPECT_EQ(A.Conditions[C].IsLessEqual, B.Conditions[C].IsLessEqual);
+      EXPECT_EQ(A.Conditions[C].Threshold, B.Conditions[C].Threshold);
+      ZeroThreshold |= A.Conditions[C].Feature == FeatCall &&
+                       A.Conditions[C].Threshold == 0.0;
+    }
+  }
+  EXPECT_TRUE(ZeroThreshold) << "no rule tests the mixed zero group:\n"
+                             << Engine.toString();
+  for (size_t I = 0; I != D.size(); ++I)
+    EXPECT_EQ(Engine.predict(D[I].X), Ref.predict(D[I].X))
+        << "instance " << I;
+
+  TaskPool Pool(4);
+  expectIdentical(Ripper().train(D, Pool), Engine, "signed zeros jobs=4");
+}
+
+TEST(RipperEngine, OptimizePassesReuseCachedConditions) {
+  // Each optimization pass re-derives every rule's coverage and grows a
+  // revision from the rule's own conditions, so later passes hit the
+  // per-train condition-mask cache for masks earlier phases computed.
+  // Every pass count must still match the reference, serial and pooled.
+  Dataset D = hardData(3300, 606);
+  TaskPool Pool(4);
+  for (unsigned Passes : {0u, 1u, 2u, 3u}) {
+    RipperOptions O;
+    O.OptimizePasses = Passes;
+    std::string What = "passes " + std::to_string(Passes);
+    RuleSet Serial = Ripper(O).train(D);
+    EXPECT_GE(Serial.size(), 2u) << What;
+    expectIdentical(Serial, reference::trainReference(D, O), What);
+    expectIdentical(Ripper(O).train(D, Pool), Serial, What + " jobs=4");
+  }
 }
 
 // Property sweep: equivalence holds across many generated datasets, with

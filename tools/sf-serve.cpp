@@ -36,10 +36,12 @@
 // virtual ticks (default 8192) the filter retrains in the background and
 // hot-swaps at the next epoch boundary; the run's swap lineage prints
 // after the tables.  --registry DIR persists every installed version as
-// an SFFR1 file (inspect/export with sf-train --from-registry).  All of
-// it is deterministic: the swap sequence, the stats, and the registry
-// bytes are identical at any --jobs and cache temperature.  --online is
-// incompatible with --rules (a fixed rules file cannot hot-swap).
+// an SFFR1 file (inspect/export with sf-train --from-registry); a DIR
+// that cannot be created or written exits 1 before anything is served.
+// All of it is deterministic: the swap sequence, the stats, and the
+// registry bytes are identical at any --jobs and cache temperature.
+// --online is incompatible with --rules (a fixed rules file cannot
+// hot-swap).
 //
 // --workload serves the interleaved multi-app stream instead: every
 // benchmark of each named family becomes one app, the family weight is
@@ -160,6 +162,14 @@ bool parseOnlineOptions(const CommandLine &CL, ServiceConfig &Cfg,
   RegistryDir = CL.get("registry");
   if (CL.has("registry") && RegistryDir.empty()) {
     std::cerr << "error: --registry expects a directory\n";
+    return false;
+  }
+  // Fail before training and serving, not after a full run whose every
+  // store failed.
+  std::string Error;
+  if (!RegistryDir.empty() &&
+      !FilterRegistry(RegistryDir).probeWritable(Error)) {
+    std::cerr << "error: --registry: " << Error << "\n";
     return false;
   }
   return true;
