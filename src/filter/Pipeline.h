@@ -55,9 +55,9 @@ struct CompileReport {
   double SimulatedTime = 0.0;
 };
 
-/// Compiles \p P under \p Policy on \p Model.  \p Filter must be non-null
-/// iff Policy == Filtered.  Every produced schedule is verified against
-/// the block's dependence graph (programmatic error if violated).
+/// Compiles \p P under \p Policy on \p Model: the per-block fold of
+/// runtime/MethodCompiler over every method in program order.  \p Filter
+/// must be non-null iff Policy == Filtered.
 CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy,
                              ScheduleFilter *Filter = nullptr);
@@ -71,9 +71,8 @@ CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedContext &Ctx);
 
 // The adaptive (hot-method-only) variant of §3.1 lives in the runtime
-// subsystem: runtime/CompileService.h declares compileProgramAdaptive on
-// top of the per-method MethodCompiler, bit-compatible with this
-// pipeline's accounting.
+// subsystem: runtime/MethodCompiler.h declares compileProgramAdaptive on
+// the same per-method fold.
 
 } // namespace schedfilter
 

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -132,6 +133,14 @@ wire::decodeRecords(const char *P, const char *End, uint64_t Count) {
     if (!Ok)
       return ParseError{static_cast<size_t>(I + 1),
                         "record payload truncated"};
+    // Raw IEEE bits survive the checksum, so NaN and infinity must be
+    // refused here: a NaN feature breaks the strict weak order of the
+    // trainer's column sort.
+    for (unsigned F = 0; F != NumFeatures; ++F)
+      if (!std::isfinite(R.X[F]))
+        return ParseError{static_cast<size_t>(I + 1),
+                          std::string(getFeatureName(F)) +
+                              " value is not finite"};
     Records.push_back(R);
   }
   return Records;
@@ -190,12 +199,19 @@ void splitCells(const std::string &Line, std::vector<std::string> &Cells) {
   }
 }
 
-bool parseDoubleCell(const std::string &Cell, double &Out) {
-  if (Cell.empty())
-    return false;
+/// Strict feature-cell parse: the whole cell must be a number.  Returns
+/// the reason on failure, "" on success.  strtod also accepts NaN and
+/// infinity spellings (and overflows to infinity); those are refused, as
+/// in the binary decoder.
+std::string parseFeatureCell(const std::string &Cell, const char *ColName,
+                             double &Out) {
   char *End = nullptr;
   Out = std::strtod(Cell.c_str(), &End);
-  return End == Cell.c_str() + Cell.size();
+  if (Cell.empty() || End != Cell.c_str() + Cell.size())
+    return std::string(ColName) + " cell '" + Cell + "' is not a number";
+  if (!std::isfinite(Out))
+    return std::string(ColName) + " cell '" + Cell + "' is not finite";
+  return "";
 }
 
 /// Strict unsigned-integer cell parse: digits only (no sign, fraction or
@@ -241,10 +257,11 @@ ParseResult<std::vector<BlockRecord>> readTraceCsvBody(std::istream &IS,
                                     " cells, expected " +
                                     std::to_string(ExpectedCells)};
     BlockRecord R;
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      if (!parseDoubleCell(Cells[F], R.X[F]))
-        return ParseError{LineNo, std::string(getFeatureName(F)) + " cell '" +
-                                      Cells[F] + "' is not a number"};
+    for (unsigned F = 0; F != NumFeatures; ++F) {
+      std::string Why = parseFeatureCell(Cells[F], getFeatureName(F), R.X[F]);
+      if (!Why.empty())
+        return ParseError{LineNo, Why};
+    }
     const char *Cols[3] = {"costNoSched", "costSched", "execCount"};
     uint64_t *Dsts[3] = {&R.CostNoSched, &R.CostSched, &R.ExecCount};
     for (int I = 0; I != 3; ++I) {

@@ -1,17 +1,15 @@
 //===- runtime/MethodCompiler.h - Per-method tiered compile -----*- C++ -*-===//
 ///
 /// \file
-/// The unit of work the CompileService's recompilation queue retires: one
-/// method, compiled under one scheduling policy.  The per-block loop is
-/// the same decision/schedule/simulate sequence as filter/Pipeline's
-/// compileProgram, and accumulation into the caller's CompileReport uses
-/// the identical flat per-block fold -- including the floating-point
-/// grouping of SimulatedTime -- so a program compiled method by method
-/// through a MethodCompiler produces bit-for-bit the report of a
-/// whole-program compileProgram over the same block sequence.  That
-/// equivalence is what lets compileProgramAdaptive (and therefore
-/// bench_adaptive_jit's table) move onto the runtime subsystem without
-/// perturbing a single pinned number; tests/adaptive_test.cpp locks it in.
+/// The repository's one per-block compile fold: one method, compiled under
+/// one scheduling policy.  The service's recompilation queue retires
+/// methods through it, and filter/Pipeline's compileProgram is a loop of
+/// it over a program's methods in program order -- so a program compiled
+/// method by method produces bit-for-bit the report of compileProgram, by
+/// construction.  compileProgramAdaptive (and therefore
+/// bench_adaptive_jit's table) sits on the same fold;
+/// tests/adaptive_test.cpp pins it against the historical partitioned
+/// pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +36,15 @@ public:
   /// Compiles \p M under \p Policy, accumulating counts, work units, wall
   /// time and simulated application time into \p Report.  \p Filter must
   /// be non-null iff Policy == Filtered; its work-unit delta is charged to
-  /// Report.FilterWork and Report.SchedulingWork, as the pipeline does.
+  /// Report.FilterWork and Report.SchedulingWork (§3.1 charges filter
+  /// evaluation to scheduling).
   ///
-  /// Accumulation is a flat per-block fold in block order: calling this
-  /// for a sequence of methods yields the exact CompileReport (bit-for-bit
-  /// SimulatedTime included) of compileProgram over a program holding the
-  /// same methods in the same order.
+  /// One timer spans the method's scheduling phase -- the batch filter
+  /// decision plus list scheduling of the chosen blocks; simulation runs
+  /// after it, untimed.  SimulatedTime accumulates into \p Report as a
+  /// flat per-block fold in block order, so calling this for a sequence
+  /// of methods yields the exact report (bit-for-bit SimulatedTime
+  /// included) of one fold over all their blocks.
   void compileMethod(const Method &M, SchedulingPolicy Policy,
                      ScheduleFilter *Filter, CompileReport &Report);
 
@@ -61,10 +62,28 @@ private:
   ListScheduler Scheduler;
   BlockSimulator Sim;
   SchedContext &Ctx;
-  /// Per-method block-pointer scratch for the batch filter pass
-  /// (grow-only; the decision bytes live in the context's arena).
-  std::vector<const BasicBlock *> BlockPtrs;
 };
+
+/// The profile-directed batch entry of the tiered-compilation subsystem,
+/// the §3.1 hot-method-only regime: methods are ranked by total profile
+/// weight, the top \p HotMethodFraction (by method count, ties toward
+/// hotter) compile under \p Policy, the rest compile baseline.  Retains
+/// its historical name and bit-exact behavior from filter/Pipeline.h --
+/// bench_adaptive_jit's table reproduces unchanged on top of the runtime's
+/// MethodCompiler (tests/adaptive_test.cpp pins the equivalence).
+CompileReport compileProgramAdaptive(const Program &P,
+                                     const MachineModel &Model,
+                                     SchedulingPolicy Policy,
+                                     ScheduleFilter *Filter,
+                                     double HotMethodFraction);
+
+/// Context-reuse variant of compileProgramAdaptive.
+CompileReport compileProgramAdaptive(const Program &P,
+                                     const MachineModel &Model,
+                                     SchedulingPolicy Policy,
+                                     ScheduleFilter *Filter,
+                                     double HotMethodFraction,
+                                     SchedContext &Ctx);
 
 } // namespace schedfilter
 

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -81,6 +82,22 @@ public:
   }
 
   bool has(const std::string &Name) const { return Options.count(Name) != 0; }
+
+  /// Options given on the command line that are not in \p Known, in
+  /// sorted order --
+  /// for tools that reject a typo instead of running with defaults.
+  std::vector<std::string>
+  unknownOptions(std::initializer_list<const char *> Known) const {
+    std::vector<std::string> Unknown;
+    for (const auto &Opt : Options) {
+      bool Found = false;
+      for (const char *K : Known)
+        Found = Found || Opt.first == K;
+      if (!Found)
+        Unknown.push_back(Opt.first);
+    }
+    return Unknown;
+  }
 
   const std::vector<std::string> &positional() const { return Positional; }
 

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Rng.h"
 #include "workloads/WorkloadFamily.h"
 
 #include <algorithm>

@@ -1,7 +1,8 @@
 //===- tests/TestHelpers.h - Shared fixtures for the test suite -*- C++ -*-===//
 ///
 /// \file
-/// Block builders and shrunken benchmark suites shared across test files.
+/// Block builders, shrunken benchmark suites and one-app serving shared
+/// across test files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -9,6 +10,7 @@
 #define SCHEDFILTER_TESTS_TESTHELPERS_H
 
 #include "mir/BasicBlock.h"
+#include "runtime/MultiAppService.h"
 #include "workloads/BenchmarkSpec.h"
 
 #include <filesystem>
@@ -75,6 +77,28 @@ shrinkSuite(std::vector<BenchmarkSpec> Suite, int NumMethods = 10) {
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = NumMethods;
   return Suite;
+}
+
+/// Serves \p P alone -- the one-app mix, on Cfg.StreamSeed -- and returns
+/// the service totals; with \p Reg, the filter lineage persists there.
+inline ServiceStats serveOneApp(const Program &P, const MachineModel &M,
+                                const ServiceConfig &Cfg, const RuleSet *Rules,
+                                TaskPool &Pool, FilterRegistry *Reg = nullptr) {
+  std::vector<AppSpec> Apps(1);
+  std::vector<Program> Programs = {P};
+  MultiAppService Svc(Apps, Programs, M, Cfg, Rules, Pool);
+  if (Reg)
+    Svc.setFilterRegistry(Reg, "test", M.getName());
+  return Svc.run().Total;
+}
+
+/// runMultiAppComparison over \p P alone (the one-app mix).
+inline MultiAppComparison compareOneApp(const Program &P, const MachineModel &M,
+                                        const ServiceConfig &Cfg,
+                                        const RuleSet &Rules, TaskPool &Pool) {
+  std::vector<AppSpec> Apps(1);
+  std::vector<Program> Programs = {P};
+  return runMultiAppComparison(Apps, Programs, M, Cfg, Rules, Pool);
 }
 
 } // namespace test

@@ -9,8 +9,9 @@
 // one representative per threshold-cut cell of feature space covers every
 // behaviorally distinct input.  Randomized rule sets and feature streams
 // cover the batch layouts (fast-path mask word vs. the > 64-cell general
-// path), and the Golden group pins the real trained filters and the
-// serve-path ServiceStats byte-for-byte across evaluators.
+// path), and the Golden group pins the real trained filters and every
+// block of the served db program against the interpreted reference
+// decision (tests/ReferenceFilter.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +21,12 @@
 #include "filter/ScheduleFilter.h"
 #include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
-#include "runtime/CompileService.h"
+#include "runtime/MultiAppService.h"
 #include "sched/SchedContext.h"
 #include "support/Rng.h"
 #include "workloads/ProgramGenerator.h"
 
+#include "ReferenceFilter.h"
 #include "RuleSetIdentity.h"
 #include "TestHelpers.h"
 
@@ -37,13 +39,6 @@ using namespace schedfilter;
 using namespace schedfilter::test;
 
 namespace {
-
-/// Restores the process-wide evaluator default on scope exit, so a test
-/// that flips it cannot leak the mode into later tests.
-struct EvalModeGuard {
-  FilterEval Saved = ScheduleFilter::defaultEval();
-  ~EvalModeGuard() { ScheduleFilter::setDefaultEval(Saved); }
-};
 
 /// Proves (exhaustively when the corner grid fits \p MaxPoints) that the
 /// compiled form of \p RS is prediction- and work-equivalent to the
@@ -347,40 +342,55 @@ TEST(ScheduleFilter, ConstOverloadSharesTheOneEvalPath) {
   EXPECT_EQ(F.numScheduleDecisions() + F.numSkipDecisions(), 2u);
 }
 
+/// Asserts \p F decides every block of \p Blocks exactly as the
+/// interpreted reference does -- scalar and batch paths, decision by
+/// decision, with counters and work units equal to the reference sums.
+void expectFilterMatchesReference(const RuleSet &RS,
+                                  const std::vector<const BasicBlock *> &Blocks) {
+  ScheduleFilter Scalar(RS), Batch(RS);
+  SchedContext Ctx;
+  std::vector<char> Decisions;
+  Batch.shouldScheduleBatch(Blocks, Ctx, Decisions);
+  ASSERT_EQ(Decisions.size(), Blocks.size());
+  uint64_t RefLS = 0, RefWork = 0;
+  for (size_t I = 0; I != Blocks.size(); ++I) {
+    reference::FilterDecision Ref = reference::interpretFilter(RS, *Blocks[I]);
+    RefLS += Ref.ScheduleLS;
+    RefWork += Ref.Work;
+    uint64_t WorkBefore = Scalar.workUnits();
+    ASSERT_EQ(Scalar.shouldSchedule(*Blocks[I]), Ref.ScheduleLS)
+        << "block " << I;
+    ASSERT_EQ(Scalar.workUnits() - WorkBefore, Ref.Work) << "block " << I;
+    ASSERT_EQ(Decisions[I] != 0, Ref.ScheduleLS) << "block " << I;
+  }
+  for (const ScheduleFilter *F : {&Scalar, &Batch}) {
+    EXPECT_EQ(F->numScheduleDecisions(), RefLS);
+    EXPECT_EQ(F->numSkipDecisions(), Blocks.size() - RefLS);
+    EXPECT_EQ(F->workUnits(), RefWork);
+  }
+}
+
+std::vector<const BasicBlock *> blocksOf(const Program &P) {
+  std::vector<const BasicBlock *> Blocks;
+  P.forEachBlock([&](const BasicBlock &BB) { Blocks.push_back(&BB); });
+  return Blocks;
+}
+
 TEST(ScheduleFilter, EvaluatorModesAgreeBlockForBlock) {
   Program P = ProgramGenerator(shrinkSuite(specjvm98Suite(), 6)[0]).generate();
-  RuleSet Rules = basicFilter();
-  ScheduleFilter Compiled(Rules, FilterEval::Compiled);
-  ScheduleFilter Interp(Rules, FilterEval::Interpreted);
-  P.forEachBlock([&](const BasicBlock &BB) {
-    ASSERT_EQ(Compiled.shouldSchedule(BB), Interp.shouldSchedule(BB));
-  });
-  EXPECT_EQ(Compiled.numScheduleDecisions(), Interp.numScheduleDecisions());
-  EXPECT_EQ(Compiled.numSkipDecisions(), Interp.numSkipDecisions());
-  EXPECT_EQ(Compiled.workUnits(), Interp.workUnits());
-  EXPECT_GT(Compiled.workUnits(), 0u);
+  std::vector<const BasicBlock *> Blocks = blocksOf(P);
+  expectFilterMatchesReference(basicFilter(), Blocks);
+  ScheduleFilter F(basicFilter());
+  for (const BasicBlock *BB : Blocks)
+    F.shouldSchedule(*BB);
+  EXPECT_GT(F.workUnits(), 0u);
 }
 
 TEST(ScheduleFilter, BatchMatchesScalarLoopInBothModes) {
   Program P = ProgramGenerator(shrinkSuite(specjvm98Suite(), 6)[1]).generate();
-  std::vector<const BasicBlock *> Blocks;
-  P.forEachBlock([&](const BasicBlock &BB) { Blocks.push_back(&BB); });
+  std::vector<const BasicBlock *> Blocks = blocksOf(P);
   ASSERT_FALSE(Blocks.empty());
-
-  for (FilterEval Mode : {FilterEval::Compiled, FilterEval::Interpreted}) {
-    ScheduleFilter Batch(basicFilter(), Mode);
-    ScheduleFilter Scalar(basicFilter(), Mode);
-    SchedContext Ctx;
-    std::vector<char> Decisions;
-    Batch.shouldScheduleBatch(Blocks, Ctx, Decisions);
-    ASSERT_EQ(Decisions.size(), Blocks.size());
-    for (size_t I = 0; I != Blocks.size(); ++I)
-      ASSERT_EQ(Decisions[I] != 0, Scalar.shouldSchedule(*Blocks[I]))
-          << "block " << I;
-    EXPECT_EQ(Batch.numScheduleDecisions(), Scalar.numScheduleDecisions());
-    EXPECT_EQ(Batch.numSkipDecisions(), Scalar.numSkipDecisions());
-    EXPECT_EQ(Batch.workUnits(), Scalar.workUnits());
-  }
+  expectFilterMatchesReference(basicFilter(), Blocks);
 }
 
 // --- Golden: the real trained filters and the serve path (skipped in the
@@ -417,28 +427,22 @@ TEST(Golden, CompiledFilterEquivalentForTrainedFilters) {
 }
 
 TEST(Golden, ServeStatsByteIdenticalAcrossEvaluators) {
-  // The serve-path pin: every deterministic ServiceStats field must be
-  // byte-identical whichever evaluator runs, at jobs 1 and jobs 4.
-  EvalModeGuard Guard;
+  // The serve-path pin: the served stats are a function of the filter's
+  // per-block (decision, work) pairs, so the compiled filter must match
+  // the interpreted reference on every block of the served db program --
+  // and the one-app serve itself is byte-identical at jobs 1 and 4.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
   std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
   RuleSet Rules = ripperLearner()(labelSuite(Runs, 0.0)[0]);
+  expectFilterMatchesReference(Rules, blocksOf(Runs[0].Prog));
+
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
-
-  std::vector<ServeComparison> PerMode;
-  for (FilterEval Mode : {FilterEval::Compiled, FilterEval::Interpreted}) {
-    ScheduleFilter::setDefaultEval(Mode);
-    for (int Jobs : {1, 4}) {
-      TaskPool Pool(static_cast<size_t>(Jobs));
-      PerMode.push_back(
-          runServeComparison(Runs[0].Prog, Model, Cfg, Rules, Pool));
-    }
-  }
-  ASSERT_EQ(PerMode.size(), 4u);
-  for (size_t I = 1; I != PerMode.size(); ++I) {
-    EXPECT_TRUE(PerMode[I].Always == PerMode[0].Always) << "run " << I;
-    EXPECT_TRUE(PerMode[I].Filtered == PerMode[0].Filtered) << "run " << I;
-  }
+  TaskPool Serial(1), Wide(4);
+  MultiAppComparison S1 = compareOneApp(Runs[0].Prog, Model, Cfg, Rules, Serial);
+  MultiAppComparison S4 = compareOneApp(Runs[0].Prog, Model, Cfg, Rules, Wide);
+  EXPECT_TRUE(S1.Always == S4.Always);
+  EXPECT_TRUE(S1.Filtered == S4.Filtered);
+  EXPECT_GT(S1.Filtered.Total.FilterLS + S1.Filtered.Total.FilterNS, 0u);
 }

@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <unistd.h>
 
@@ -248,6 +249,28 @@ TEST(CorpusCache, CorruptEntriesAreInvalidNotFatal) {
   }
   EXPECT_FALSE(Cache.load(Key).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 3u);
+}
+
+TEST(CorpusCache, NonFiniteFeatureEntryIsInvalid) {
+  // A well-formed, correctly checksummed SFCC1 entry whose records carry
+  // a NaN or infinite feature is still not believed: it would break the
+  // strict weak order of RIPPER's column sort.  The load is a miss and
+  // the caller re-traces.
+  TempCacheDir Dir("cc-nonfinite");
+  CorpusCache Cache(Dir.str());
+  CorpusKey Key{"db", "ppc7410", GeneratorVersion,
+                TracePipelineVersion, 0x1234, ""};
+  uint64_t Invalid = 0;
+  for (double Bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    CachedRun Run;
+    Run.Records.emplace_back();
+    Run.Records.emplace_back();
+    Run.Records[1].X[FeatFloat] = Bad;
+    ASSERT_TRUE(Cache.store(Key, Run));
+    EXPECT_FALSE(Cache.load(Key).has_value());
+    EXPECT_EQ(Cache.stats().InvalidEntries, ++Invalid);
+  }
 }
 
 TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {

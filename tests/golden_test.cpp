@@ -11,7 +11,8 @@
 
 #include "harness/ParallelExperiments.h"
 #include "io/TraceStore.h"
-#include "runtime/CompileService.h"
+#include "runtime/MethodCompiler.h"
+#include "runtime/MultiAppService.h"
 #include "support/Statistics.h"
 
 #include "TestHelpers.h"
@@ -203,18 +204,22 @@ TEST(Golden, ServeRecoupedHeadline) {
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
   TaskPool Pool(4);
-  ServeComparison Cmp =
-      runServeComparison(Runs[0].Prog, Model, Cfg, Rules, Pool);
+  std::vector<AppSpec> Apps = {AppSpec{Spec, 1.0}};
+  std::vector<Program> Programs = {Runs[0].Prog};
+  MultiAppComparison Cmp =
+      runMultiAppComparison(Apps, Programs, Model, Cfg, Rules, Pool);
+  const ServiceStats &Always = Cmp.Always.Total;
+  const ServiceStats &Filtered = Cmp.Filtered.Total;
 
-  EXPECT_EQ(Cmp.Always.SchedulingWork, 102414u);
-  EXPECT_EQ(Cmp.Always.Promotions, 77u);
-  EXPECT_EQ(Cmp.Always.Deferred, 0u);
-  EXPECT_EQ(Cmp.Always.FinalQueueDepth, 0u);
+  EXPECT_EQ(Always.SchedulingWork, 102414u);
+  EXPECT_EQ(Always.Promotions, 77u);
+  EXPECT_EQ(Always.Deferred, 0u);
+  EXPECT_EQ(Always.FinalQueueDepth, 0u);
   EXPECT_NEAR(Cmp.RecoupedWorkFraction, 0.393, 0.06);
   // Filtering keeps the optimization's application-side value: the served
   // stream is within a whisker of the LS run's time.
-  double AppLS = Cmp.Always.AppTime / Cmp.Always.BaselineAppTime;
-  double AppLN = Cmp.Filtered.AppTime / Cmp.Filtered.BaselineAppTime;
+  double AppLS = Always.AppTime / Always.BaselineAppTime;
+  double AppLN = Filtered.AppTime / Filtered.BaselineAppTime;
   EXPECT_LT(AppLN - AppLS, 0.005);
 }
 

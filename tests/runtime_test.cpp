@@ -1,22 +1,28 @@
-//===- tests/runtime_test.cpp - CompileService / queue / determinism --------===//
+//===- tests/runtime_test.cpp - Runtime service / queue / determinism -------===//
 //
 // The runtime subsystem's contracts: the bounded recompilation queue is
-// FIFO with load-shedding backpressure; the CompileService's virtual
-// clock, sampling and promotion dynamics are pure functions of
-// (program, config, rules); and every ServiceStats field -- doubles
-// included -- is bit-identical at any TaskPool job count.
+// FIFO with load-shedding backpressure; the service's virtual clock,
+// sampling and promotion dynamics are pure functions of (programs,
+// config, rules); and every ServiceStats field -- doubles included -- is
+// bit-identical at any TaskPool job count.  The CompileService group
+// serves one program as the one-app mix; the MultiAppService group
+// interleaves several.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/CompileService.h"
 #include "runtime/MultiAppService.h"
 #include "runtime/RecompileQueue.h"
 #include "target/MachineModel.h"
 #include "workloads/ProgramGenerator.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace schedfilter;
+using namespace schedfilter::test;
 
 namespace {
 
@@ -100,7 +106,7 @@ TEST(RecompileQueue, WrapsAroundRing) {
 }
 
 //===----------------------------------------------------------------------===//
-// CompileService
+// CompileService (one program served as the one-app mix)
 //===----------------------------------------------------------------------===//
 
 TEST(CompileService, RunIsDeterministic) {
@@ -108,9 +114,8 @@ TEST(CompileService, RunIsDeterministic) {
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Pool(1);
-  CompileService A(P, M, testConfig(), &RS, Pool);
-  CompileService B(P, M, testConfig(), &RS, Pool);
-  EXPECT_TRUE(A.run() == B.run());
+  EXPECT_TRUE(serveOneApp(P, M, testConfig(), &RS, Pool) ==
+              serveOneApp(P, M, testConfig(), &RS, Pool));
 }
 
 TEST(CompileService, BitIdenticalAtAnyJobCount) {
@@ -120,9 +125,8 @@ TEST(CompileService, BitIdenticalAtAnyJobCount) {
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Serial(1), Wide(4);
-  ServiceStats S1 =
-      CompileService(P, M, testConfig(), &RS, Serial).run();
-  ServiceStats S4 = CompileService(P, M, testConfig(), &RS, Wide).run();
+  ServiceStats S1 = serveOneApp(P, M, testConfig(), &RS, Serial);
+  ServiceStats S4 = serveOneApp(P, M, testConfig(), &RS, Wide);
   EXPECT_TRUE(S1 == S4);
   // And the run did real tiered work, so the comparison is not vacuous.
   EXPECT_GT(S1.Promotions, 0u);
@@ -137,7 +141,7 @@ TEST(CompileService, AccountingInvariantsHold) {
   RuleSet RS = testRules();
   TaskPool Pool(2);
   ServiceConfig Cfg = testConfig();
-  ServiceStats St = CompileService(P, M, Cfg, &RS, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool);
 
   EXPECT_EQ(St.Invocations, Cfg.Invocations);
   EXPECT_EQ(St.BaselineInvocations + St.OptimizedInvocations,
@@ -163,7 +167,7 @@ TEST(CompileService, TinyQueueShedsLoadButCatchesUp) {
   ServiceConfig Cfg = testConfig();
   Cfg.QueueCap = 1;
   Cfg.DrainPerEpoch = 1;
-  ServiceStats St = CompileService(P, M, Cfg, &RS, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool);
   // With a one-slot queue the sampler nominates faster than the drain
   // retires: backpressure must shed load...
   EXPECT_GT(St.Deferred, 0u);
@@ -182,8 +186,8 @@ TEST(CompileService, HotterThresholdPromotesFewerMethods) {
   Cold.HotThreshold = 64;
   ServiceConfig Hot = testConfig();
   Hot.HotThreshold = 2;
-  ServiceStats StCold = CompileService(P, M, Cold, &RS, Pool).run();
-  ServiceStats StHot = CompileService(P, M, Hot, &RS, Pool).run();
+  ServiceStats StCold = serveOneApp(P, M, Cold, &RS, Pool);
+  ServiceStats StHot = serveOneApp(P, M, Hot, &RS, Pool);
   EXPECT_LT(StCold.Promotions, StHot.Promotions);
   EXPECT_LT(StCold.OptimizedInvocations, StHot.OptimizedInvocations);
 }
@@ -195,7 +199,7 @@ TEST(CompileService, UnreachableThresholdKeepsEverythingBaseline) {
   ServiceConfig Cfg = testConfig();
   Cfg.HotThreshold = 1000000; // more samples than the stream contains
   Cfg.OptimizingPolicy = SchedulingPolicy::Always;
-  ServiceStats St = CompileService(P, M, Cfg, nullptr, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, nullptr, Pool);
   EXPECT_EQ(St.Promotions, 0u);
   EXPECT_EQ(St.MethodsOptimized, 0u);
   EXPECT_EQ(St.OptimizedInvocations, 0u);
@@ -213,7 +217,7 @@ TEST(CompileService, VirtualClockDelaysInstalls) {
   ServiceConfig Cfg = testConfig();
   Cfg.HotThreshold = 1;
   Cfg.OptimizingPolicy = SchedulingPolicy::Always;
-  ServiceStats St = CompileService(P, M, Cfg, nullptr, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, nullptr, Pool);
   // (Not necessarily every method: a sufficiently cold one may never be
   // drawn at a sampled tick -- sampling is the paper's point.)
   EXPECT_GE(St.MethodsOptimized, P.size() - 1);
@@ -225,16 +229,52 @@ TEST(CompileService, ServeComparisonRecoupsWork) {
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Pool(2);
-  ServeComparison Cmp =
-      runServeComparison(P, M, testConfig(), RS, Pool);
+  MultiAppComparison Cmp = compareOneApp(P, M, testConfig(), RS, Pool);
+  const ServiceStats &Always = Cmp.Always.Total;
+  const ServiceStats &Filtered = Cmp.Filtered.Total;
   // Identical promotion dynamics by construction...
-  EXPECT_EQ(Cmp.Always.Promotions, Cmp.Filtered.Promotions);
-  EXPECT_EQ(Cmp.Always.CompiledMethods, Cmp.Filtered.CompiledMethods);
-  EXPECT_EQ(Cmp.Always.BaselineAppTime, Cmp.Filtered.BaselineAppTime);
+  EXPECT_EQ(Always.Promotions, Filtered.Promotions);
+  EXPECT_EQ(Always.CompiledMethods, Filtered.CompiledMethods);
+  EXPECT_EQ(Always.BaselineAppTime, Filtered.BaselineAppTime);
   // ...so the work delta is the filter's recouped scheduling time.
-  EXPECT_LT(Cmp.Filtered.SchedulingWork, Cmp.Always.SchedulingWork);
+  EXPECT_LT(Filtered.SchedulingWork, Always.SchedulingWork);
   EXPECT_GT(Cmp.RecoupedWorkFraction, 0.0);
   EXPECT_LT(Cmp.RecoupedWorkFraction, 1.0);
+}
+
+TEST(CompileService, OneAppMixDrawsFromStreamZero) {
+  // The single-app stream layout: a one-app mix draws no interleave, and
+  // its methods come straight from Rng(StreamSeed).fork(0) by profile
+  // weight.  With promotion out of reach, AppTime is exactly the
+  // baseline cost of that draw sequence, folded in tick order.
+  Program P = testProgram();
+  MachineModel M = MachineModel::ppc7410();
+  TaskPool Pool(1);
+  ServiceConfig Cfg = testConfig();
+  Cfg.HotThreshold = 1000000;
+  Cfg.OptimizingPolicy = SchedulingPolicy::Always;
+  std::vector<AppSpec> Apps(1);
+  std::vector<Program> Programs = {P};
+  MultiAppService Svc(Apps, Programs, M, Cfg, nullptr, Pool);
+  ServiceStats St = Svc.run().Total;
+
+  std::vector<double> Cum;
+  double Total = 0.0;
+  for (const Method &Meth : P) {
+    for (const BasicBlock &BB : Meth)
+      Total += static_cast<double>(BB.getExecCount());
+    Cum.push_back(Total);
+  }
+  Rng Stream = Rng(Cfg.StreamSeed).fork(0);
+  double Expected = 0.0;
+  for (uint64_t T = 0; T != Cfg.Invocations; ++T) {
+    double U = Stream.uniform() * Total;
+    size_t I = static_cast<size_t>(
+        std::upper_bound(Cum.begin(), Cum.end(), U) - Cum.begin());
+    Expected += Svc.baselineCosts()[std::min(I, Cum.size() - 1)];
+  }
+  EXPECT_EQ(St.AppTime, Expected);
+  EXPECT_EQ(St.BaselineAppTime, Expected);
 }
 
 //===----------------------------------------------------------------------===//
@@ -385,8 +425,8 @@ TEST(CompileService, StreamSeedIsPartOfWorkloadIdentity) {
   ServiceConfig A = testConfig();
   ServiceConfig B = testConfig();
   B.StreamSeed = invocationStreamSeed(43);
-  ServiceStats StA = CompileService(P, M, A, &RS, Pool).run();
-  ServiceStats StB = CompileService(P, M, B, &RS, Pool).run();
+  ServiceStats StA = serveOneApp(P, M, A, &RS, Pool);
+  ServiceStats StB = serveOneApp(P, M, B, &RS, Pool);
   // Different workload seed, different stream (app time is a sum over
   // 20k weighted draws; collision would be astronomically unlikely).
   EXPECT_NE(StA.AppTime, StB.AppTime);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 using namespace schedfilter;
@@ -200,6 +201,47 @@ TEST(TraceFile, RejectsUint64OverflowInsteadOfTruncating) {
   ParseResult<std::vector<BlockRecord>> Ok = readTrace(MaxIn);
   ASSERT_TRUE(Ok.has_value()) << Ok.error().str();
   EXPECT_EQ((*Ok)[0].ExecCount, 18446744073709551615ull);
+}
+
+TEST(TraceFile, RejectsNonFiniteFeatureCells) {
+  // strtod accepts NaN and infinity spellings (and overflows to inf), but
+  // a NaN feature breaks the strict weak order of RIPPER's per-train
+  // column sort: a trace must never load one.
+  for (const char *Cell : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e999"}) {
+    std::vector<BlockRecord> Records(3);
+    std::stringstream SS;
+    writeTrace(Records, SS);
+    std::string Text = SS.str();
+    // The second record's first feature cell; the header is line 1.
+    size_t Pos = Text.find('\n', Text.find('\n') + 1) + 1;
+    Text.replace(Pos, Text.find(',', Pos) - Pos, Cell);
+    std::stringstream In(Text);
+    ParseResult<std::vector<BlockRecord>> R = readTrace(In);
+    ASSERT_FALSE(R.has_value()) << Cell;
+    EXPECT_EQ(R.error().Line, 3u) << Cell;
+    EXPECT_NE(R.error().Message.find("finite"), std::string::npos)
+        << R.error().str();
+  }
+}
+
+TEST(TraceFile, BinaryRejectsNonFiniteFeatures) {
+  // SFTB1 carries raw IEEE bits, so NaN and infinity survive the
+  // checksum; the decoder must refuse them, naming the record.
+  for (double Bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<BlockRecord> Records = sampleRecords();
+    Records[1].X[FeatLoad] = Bad;
+    std::stringstream SS;
+    writeTrace(Records, SS, TraceFormat::Binary);
+    std::stringstream In(SS.str());
+    ParseResult<std::vector<BlockRecord>> R = readTrace(In);
+    ASSERT_FALSE(R.has_value()) << Bad;
+    EXPECT_EQ(R.error().Line, 2u) << Bad;
+    EXPECT_NE(R.error().Message.find("finite"), std::string::npos)
+        << R.error().str();
+  }
 }
 
 TEST(TraceFile, ErrorsNameTheOffendingLine) {

@@ -1,7 +1,7 @@
 //===- tools/sf-serve.cpp - Serve a method-invocation stream ----------------===//
 //
 // The runtime half of the reproduction: replay a benchmark's method
-// invocation stream through the CompileService (baseline tier, sampling
+// invocation stream through the runtime service (baseline tier, sampling
 // based hotness counters, bounded recompilation queue, optimizing tier)
 // and report what the induced filter recoups once scheduling cost is paid
 // at run time -- the regime of the paper's host JIT (§3.1).
@@ -21,7 +21,6 @@
 //            [--invocations N] [--hot-threshold N] [--queue-cap N]
 //            [--sample-every N] [--epoch-len N] [--drain N]
 //            [--online [--retrain-every N] [--registry DIR]]
-//            [--filter-eval compiled|interpreter]
 //            [--jobs N] [--corpus-dir DIR | --no-cache]
 //   sf-serve --workload FAMILY[:WEIGHT][,FAMILY[:WEIGHT]...] [...]
 //   sf-serve --list
@@ -50,7 +49,12 @@
 // multi-tenant regime of a server JIT.  Per-app tier residency and
 // recouped work print alongside the aggregate; without --rules the
 // filter self-trains on the mix's own traces.  Output is bit-identical
-// at any --jobs and cache temperature, like the single-app mode.
+// at any --jobs and cache temperature, like the single-app mode.  A
+// single --benchmark is served as the one-app mix through the same
+// service; only its header differs.
+//
+// Unknown options and stray arguments exit 1 before any work, so a typo
+// never runs with defaults.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +62,6 @@
 #include "harness/ParallelExperiments.h"
 #include "io/FilterRegistry.h"
 #include "ml/Serialization.h"
-#include "runtime/CompileService.h"
 #include "runtime/MultiAppService.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
@@ -66,7 +69,6 @@
 #include "support/Timer.h"
 
 #include "EngineOption.h"
-#include "FilterEvalOption.h"
 #include "ModelOption.h"
 #include "RulesOption.h"
 #include "VersionOption.h"
@@ -86,7 +88,6 @@ void printUsage(std::ostream &OS) {
         " [--queue-cap N]\n"
         "                [--sample-every N] [--epoch-len N] [--drain N]\n"
         "                [--online [--retrain-every N] [--registry DIR]]\n"
-        "                [--filter-eval compiled|interpreter]\n"
         "                [--jobs N] [--corpus-dir DIR | --no-cache]\n"
         "       sf-serve --workload FAMILY[:WEIGHT][,...] [...]\n"
         "       sf-serve --list\n"
@@ -216,103 +217,63 @@ bool checkRegistryHealth(const FilterRegistry *Reg) {
   return true;
 }
 
-/// The --workload path: expand the mix into apps, resolve the filter
-/// (--rules or self-trained on the mix's own traces), replay the
-/// interleaved stream under both optimizing-tier policies, and report
-/// per-app and aggregate stats.  Everything on stdout is a pure function
-/// of (mix, model, config) -- same contract as the single-app mode.
-int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
-             const MachineModel &Model, ExperimentEngine &Engine,
-             ServiceConfig Cfg, const std::string &RegistryDir) {
-  std::vector<AppSpec> Apps = expandWorkloadMix(Mix);
-  Cfg.StreamSeed = workloadMixSeed(Apps);
-
-  RuleSet Rules(Label::NS);
+/// Resolves the optimizing-tier filter and the apps' programs: the rules
+/// from --rules, or self-trained on the apps' own traces (corpus-cache
+/// served when warm) -- the factory filter for exactly the population the
+/// service is about to serve.  The self-training path already synthesized
+/// the programs; they are reused instead of generated a second time.
+/// \p Workload names the training set.  Returns false after a diagnostic.
+bool resolveFilter(const CommandLine &CL, const std::vector<AppSpec> &Apps,
+                   const std::string &Workload, const MachineModel &Model,
+                   ExperimentEngine &Engine, ServiceConfig &Cfg,
+                   RuleSet &Rules, std::vector<Program> &Programs,
+                   std::vector<BlockRecord> &SeedRecords) {
   bool RulesFromFile = false;
   if (!loadRulesOption(CL, Rules, RulesFromFile))
-    return 1;
-
-  std::vector<Program> Programs;
-  std::vector<BlockRecord> SeedRecords;
+    return false;
   if (RulesFromFile) {
     Programs = generateMixPrograms(Apps);
-  } else {
-    // Self-train on the whole mix: the factory filter for exactly the
-    // population this service is about to serve.  Reuse the synthesized
-    // programs instead of generating them a second time.
-    double Threshold = 0.0;
-    if (!parseThresholdFlag(CL, Threshold))
-      return 1;
-    std::vector<BenchmarkSpec> Suite;
-    Suite.reserve(Apps.size());
-    for (const AppSpec &A : Apps)
-      Suite.push_back(A.Spec);
-    std::cerr << "training filter on the mix's own traces (t = " << Threshold
-              << "; tracing on cache miss)...\n";
-    std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
-    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
-    Dataset Train(formatWorkloadMix(Mix));
-    for (const Dataset &D : Labeled)
-      Train.append(D);
-    Rules = ripperLearner(Engine.pool())(Train);
-    RuleAnalysis Lint = analyzeRuleSet(Rules, &Train);
-    if (!Lint.clean())
-      printFindings(Lint, std::cerr);
-    Cfg.RetrainThreshold = Threshold;
-    Programs.reserve(Runs.size());
-    for (BenchmarkRun &Run : Runs) {
-      if (Cfg.Online)
-        SeedRecords.insert(SeedRecords.end(), Run.Records.begin(),
-                           Run.Records.end());
-      Programs.push_back(std::move(Run.Prog));
-    }
+    return true;
   }
+  double Threshold = 0.0;
+  if (!parseThresholdFlag(CL, Threshold))
+    return false;
+  std::vector<BenchmarkSpec> Suite;
+  Suite.reserve(Apps.size());
+  for (const AppSpec &A : Apps)
+    Suite.push_back(A.Spec);
+  std::cerr << "training filter on "
+            << (Apps.size() == 1 ? Workload + "'s own trace"
+                                 : std::string("the mix's own traces"))
+            << " (t = " << Threshold << "; tracing on cache miss)...\n";
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
+  Dataset Train(Workload);
+  for (const Dataset &D : Labeled)
+    Train.append(D);
+  Rules = ripperLearner(Engine.pool())(Train);
+  RuleAnalysis Lint = analyzeRuleSet(Rules, &Train);
+  if (!Lint.clean())
+    printFindings(Lint, std::cerr);
+  Cfg.RetrainThreshold = Threshold;
+  Programs.reserve(Runs.size());
+  for (BenchmarkRun &Run : Runs) {
+    if (Cfg.Online)
+      SeedRecords.insert(SeedRecords.end(), Run.Records.begin(),
+                         Run.Records.end());
+    Programs.push_back(std::move(Run.Prog));
+  }
+  return true;
+}
 
-  std::optional<FilterRegistry> Registry;
-  if (!RegistryDir.empty())
-    Registry.emplace(RegistryDir);
-
-  AccumulatingTimer Wall;
-  Wall.start();
-  MultiAppComparison Cmp = runMultiAppComparison(
-      Apps, Programs, Model, Cfg, Rules, Engine.pool(), nullptr,
-      std::move(SeedRecords), Registry ? &*Registry : nullptr,
-      formatWorkloadMix(Mix), Model.getName());
-  Wall.stop();
-
-  // --- Deterministic report (stdout). ---
+/// The report both modes share after their header: the LS vs L/N tier
+/// table, the filter's decisions, the recouped-work headline and, online,
+/// the swap lineage on stdout; wall-clock throughput on stderr (it varies
+/// run to run and backs nothing deterministic).
+void printServeReport(const MultiAppComparison &Cmp, const ServiceConfig &Cfg,
+                      double Seconds) {
   const ServiceStats &LS = Cmp.Always.Total;
   const ServiceStats &LN = Cmp.Filtered.Total;
-  std::cout << "workload mix " << formatWorkloadMix(Mix) << " on "
-            << Model.getName() << ": " << Apps.size() << " apps, "
-            << LS.Invocations << " invocations interleaved,\nsample every "
-            << Cfg.SampleEvery << ", hot threshold " << Cfg.HotThreshold
-            << ", queue cap " << Cfg.QueueCap << ", drain "
-            << Cfg.DrainPerEpoch << "/epoch, epoch " << Cfg.EpochLen << " ("
-            << LS.Epochs << " epochs)\n\n";
-
-  TablePrinter PerApp({"App", "Family", "Invocations", "Optimized inv",
-                       "Methods opt", "LS work", "L/N work", "Recouped"});
-  for (size_t A = 0; A != Apps.size(); ++A) {
-    const ServiceStats &ALS = Cmp.Always.PerApp[A];
-    const ServiceStats &ALN = Cmp.Filtered.PerApp[A];
-    PerApp.addRow({Cmp.Filtered.AppNames[A], Apps[A].Spec.Family,
-                   std::to_string(ALN.Invocations),
-                   std::to_string(ALN.OptimizedInvocations),
-                   std::to_string(ALN.MethodsOptimized) + "/" +
-                       std::to_string(ALN.MethodsTotal),
-                   std::to_string(ALS.SchedulingWork),
-                   std::to_string(ALN.SchedulingWork),
-                   formatPercent(Cmp.PerAppRecoup[A], 1)});
-  }
-  PerApp.print(std::cout);
-
-  std::cout << "\nrecompilation queue (L/N run, shared): max depth "
-            << LN.MaxQueueDepth << ", mean "
-            << formatDouble(LN.MeanQueueDepth, 2) << ", " << LN.Deferred
-            << " deferred (backpressure), " << LN.FinalQueueDepth
-            << " still queued\n\n";
-
   TablePrinter T({"Opt tier", "Compiled", "Blocks", "Scheduled",
                   "Work units", "Filter work", "App time vs baseline"});
   for (const ServiceStats *St : {&LS, &LN})
@@ -333,20 +294,32 @@ int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
   if (Cfg.Online)
     printOnlineReport(LN);
 
-  // --- Wall-clock throughput (stderr). ---
-  double Seconds = Wall.seconds();
   double Served = 2.0 * static_cast<double>(LS.Invocations);
   std::cerr << "throughput: " << Served << " invocations served in "
             << formatDouble(Seconds * 1e3, 1) << " ms ("
             << formatDouble(Seconds > 0.0 ? Served / Seconds / 1e6 : 0.0, 2)
             << "M inv/s across both runs)\n";
-  return checkRegistryHealth(Registry ? &*Registry : nullptr) ? 0 : 1;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  // Every option sf-serve understands; anything else is rejected before
+  // any work, so a typo never runs with defaults.
+  std::vector<std::string> Unknown = CL.unknownOptions(
+      {"benchmark", "workload", "list", "help", "version", "rules",
+       "threshold", "model", "jobs", "corpus-dir", "no-cache",
+       "invocations", "hot-threshold", "queue-cap", "sample-every",
+       "epoch-len", "drain", "online", "retrain-every", "registry"});
+  for (const std::string &Name : Unknown)
+    std::cerr << "error: unknown option '--" << Name << "'\n";
+  for (const std::string &Arg : CL.positional())
+    std::cerr << "error: unexpected argument '" << Arg << "'\n";
+  if (!Unknown.empty() || !CL.positional().empty()) {
+    printUsage(std::cerr);
+    return 1;
+  }
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;
@@ -369,13 +342,9 @@ int main(int argc, char **argv) {
     printUsage(std::cerr);
     return 1;
   }
-  const BenchmarkSpec *Spec = Bench->Spec;
-  std::string Name = Bench->Present ? Spec->Name : std::string();
 
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
-    return 1;
-  if (!parseFilterEvalOption(CL))
     return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
@@ -409,42 +378,28 @@ int main(int argc, char **argv) {
   if (!parseOnlineOptions(CL, Cfg, RegistryDir))
     return 1;
 
-  // The interleaved multi-app mode has its own report shape.
-  if (!Mix->empty())
-    return serveMix(CL, *Mix, *Model, Engine, Cfg, RegistryDir);
-
-  Cfg.StreamSeed = invocationStreamSeed(Spec->Seed);
-
-  // The optimizing-tier filter: deserialized from --rules, or self-trained
-  // on the benchmark's own trace (corpus-cache-served when warm).  The
-  // self-training path already synthesized the program; reuse it instead
-  // of generating it a second time.
-  RuleSet Rules(Label::NS);
-  bool RulesFromFile = false;
-  if (!loadRulesOption(CL, Rules, RulesFromFile))
-    return 1;
-  std::optional<Program> P;
-  std::vector<BlockRecord> SeedRecords;
-  if (!RulesFromFile) {
-    double Threshold = 0.0;
-    if (!parseThresholdFlag(CL, Threshold))
-      return 1;
-    std::cerr << "training filter on " << Name << "'s own trace (t = "
-              << Threshold << "; tracing on cache miss)...\n";
-    std::vector<BenchmarkRun> Runs =
-        Engine.generateSuiteData({*Spec}, *Model);
-    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
-    Rules = ripperLearner(Engine.pool())(Labeled[0]);
-    RuleAnalysis Lint = analyzeRuleSet(Rules, &Labeled[0]);
-    if (!Lint.clean())
-      printFindings(Lint, std::cerr);
-    Cfg.RetrainThreshold = Threshold;
-    if (Cfg.Online)
-      SeedRecords = std::move(Runs[0].Records);
-    P = std::move(Runs[0].Prog);
+  // A single benchmark is the one-app mix, on the benchmark's own stream
+  // seed; a --workload mix is one app per family benchmark, on the mix's
+  // session seed.  Workload names the workload in the report, the training
+  // set and the registry metadata.
+  std::vector<AppSpec> Apps;
+  std::string Workload;
+  if (Bench->Present) {
+    Apps = {AppSpec{*Bench->Spec, 1.0}};
+    Cfg.StreamSeed = invocationStreamSeed(Bench->Spec->Seed);
+    Workload = Bench->Spec->Name;
+  } else {
+    Apps = expandWorkloadMix(*Mix);
+    Cfg.StreamSeed = workloadMixSeed(Apps);
+    Workload = formatWorkloadMix(*Mix);
   }
-  if (!P)
-    P = generateWorkloadProgram(*Spec);
+
+  RuleSet Rules(Label::NS);
+  std::vector<Program> Programs;
+  std::vector<BlockRecord> SeedRecords;
+  if (!resolveFilter(CL, Apps, Workload, *Model, Engine, Cfg, Rules, Programs,
+                     SeedRecords))
+    return 1;
 
   std::optional<FilterRegistry> Registry;
   if (!RegistryDir.empty())
@@ -452,57 +407,60 @@ int main(int argc, char **argv) {
 
   AccumulatingTimer Wall;
   Wall.start();
-  ServeComparison Cmp = runServeComparison(
-      *P, *Model, Cfg, Rules, Engine.pool(), std::move(SeedRecords),
-      Registry ? &*Registry : nullptr, Name, Model->getName());
+  MultiAppComparison Cmp = runMultiAppComparison(
+      Apps, Programs, *Model, Cfg, Rules, Engine.pool(), nullptr,
+      std::move(SeedRecords), Registry ? &*Registry : nullptr, Workload,
+      Model->getName());
   Wall.stop();
 
-  // --- Deterministic report (stdout). ---
-  const ServiceStats &LS = Cmp.Always;
-  const ServiceStats &LN = Cmp.Filtered;
-  std::cout << Name << " on " << Model->getName() << ": " << LS.Invocations
-            << " invocations, sample every " << Cfg.SampleEvery
-            << ", hot threshold " << Cfg.HotThreshold << ",\nqueue cap "
-            << Cfg.QueueCap << ", drain " << Cfg.DrainPerEpoch
-            << "/epoch, epoch " << Cfg.EpochLen << " (" << LS.Epochs
-            << " epochs)\n\n";
-
-  std::cout << "tier residency (L/N run): " << LN.BaselineInvocations
-            << " baseline / " << LN.OptimizedInvocations
-            << " optimized invocations; " << LN.MethodsOptimized << "/"
-            << LN.MethodsTotal << " methods optimized\n";
-  std::cout << "recompilation queue: max depth " << LN.MaxQueueDepth
-            << ", mean " << formatDouble(LN.MeanQueueDepth, 2) << ", "
-            << LN.Deferred << " deferred (backpressure), "
-            << LN.FinalQueueDepth << " still queued\n\n";
-
-  TablePrinter T({"Opt tier", "Compiled", "Blocks", "Scheduled",
-                  "Work units", "Filter work", "App time vs baseline"});
-  for (const ServiceStats *St : {&LS, &LN})
-    T.addRow({St == &LS ? "LS" : "L/N", std::to_string(St->CompiledMethods),
-              std::to_string(St->BlocksCompiled),
-              std::to_string(St->BlocksScheduled),
-              std::to_string(St->SchedulingWork),
-              std::to_string(St->FilterWork),
-              formatDouble(St->AppTime / St->BaselineAppTime, 4)});
-  T.print(std::cout);
-
-  std::cout << "\nonline filter decisions (optimizing tier): " << LN.FilterLS
-            << " LS, " << LN.FilterNS << " NS\n";
-  std::cout << "recouped scheduling work: "
-            << formatPercent(Cmp.RecoupedWorkFraction, 1) << " (LS "
-            << formatKiloUnits(LS.SchedulingWork) << " units -> L/N "
-            << formatKiloUnits(LN.SchedulingWork) << " units)\n";
-  if (Cfg.Online)
-    printOnlineReport(LN);
-
-  // --- Wall-clock throughput (stderr: varies run to run, backs nothing
-  // deterministic). ---
-  double Seconds = Wall.seconds();
-  double Served = 2.0 * static_cast<double>(LS.Invocations);
-  std::cerr << "throughput: " << Served << " invocations served in "
-            << formatDouble(Seconds * 1e3, 1) << " ms ("
-            << formatDouble(Seconds > 0.0 ? Served / Seconds / 1e6 : 0.0, 2)
-            << "M inv/s across both runs)\n";
+  // --- Deterministic report (stdout): the mode's header, then the
+  // shared tables. ---
+  const ServiceStats &LS = Cmp.Always.Total;
+  const ServiceStats &LN = Cmp.Filtered.Total;
+  if (Bench->Present) {
+    std::cout << Workload << " on " << Model->getName() << ": "
+              << LS.Invocations << " invocations, sample every "
+              << Cfg.SampleEvery << ", hot threshold " << Cfg.HotThreshold
+              << ",\nqueue cap " << Cfg.QueueCap << ", drain "
+              << Cfg.DrainPerEpoch << "/epoch, epoch " << Cfg.EpochLen
+              << " (" << LS.Epochs << " epochs)\n\n";
+    std::cout << "tier residency (L/N run): " << LN.BaselineInvocations
+              << " baseline / " << LN.OptimizedInvocations
+              << " optimized invocations; " << LN.MethodsOptimized << "/"
+              << LN.MethodsTotal << " methods optimized\n";
+    std::cout << "recompilation queue: max depth " << LN.MaxQueueDepth
+              << ", mean " << formatDouble(LN.MeanQueueDepth, 2) << ", "
+              << LN.Deferred << " deferred (backpressure), "
+              << LN.FinalQueueDepth << " still queued\n\n";
+  } else {
+    std::cout << "workload mix " << Workload << " on " << Model->getName()
+              << ": " << Apps.size() << " apps, " << LS.Invocations
+              << " invocations interleaved,\nsample every " << Cfg.SampleEvery
+              << ", hot threshold " << Cfg.HotThreshold << ", queue cap "
+              << Cfg.QueueCap << ", drain " << Cfg.DrainPerEpoch
+              << "/epoch, epoch " << Cfg.EpochLen << " (" << LS.Epochs
+              << " epochs)\n\n";
+    TablePrinter PerApp({"App", "Family", "Invocations", "Optimized inv",
+                         "Methods opt", "LS work", "L/N work", "Recouped"});
+    for (size_t A = 0; A != Apps.size(); ++A) {
+      const ServiceStats &ALS = Cmp.Always.PerApp[A];
+      const ServiceStats &ALN = Cmp.Filtered.PerApp[A];
+      PerApp.addRow({Cmp.Filtered.AppNames[A], Apps[A].Spec.Family,
+                     std::to_string(ALN.Invocations),
+                     std::to_string(ALN.OptimizedInvocations),
+                     std::to_string(ALN.MethodsOptimized) + "/" +
+                         std::to_string(ALN.MethodsTotal),
+                     std::to_string(ALS.SchedulingWork),
+                     std::to_string(ALN.SchedulingWork),
+                     formatPercent(Cmp.PerAppRecoup[A], 1)});
+    }
+    PerApp.print(std::cout);
+    std::cout << "\nrecompilation queue (L/N run, shared): max depth "
+              << LN.MaxQueueDepth << ", mean "
+              << formatDouble(LN.MeanQueueDepth, 2) << ", " << LN.Deferred
+              << " deferred (backpressure), " << LN.FinalQueueDepth
+              << " still queued\n\n";
+  }
+  printServeReport(Cmp, Cfg, Wall.seconds());
   return checkRegistryHealth(Registry ? &*Registry : nullptr) ? 0 : 1;
 }
