@@ -216,16 +216,19 @@ size_t RuleAnalysis::removedConditions() const {
   return N;
 }
 
-std::vector<char>
-schedfilter::redundantConditionMask(const Rule &R,
-                                    std::vector<size_t> *Subsumer) {
-  // Keep the tightest test per (feature, direction); every looser or
-  // later-duplicate same-direction test is subsumed.  NaN thresholds are
-  // excluded (the rule is dead regardless; the analyzer reports that as
-  // its own finding).
+namespace {
+
+/// The within-rule keep-tightest pass: Mask[c] != 0 iff condition c of
+/// \p R is subsumed by a tighter (or earlier duplicate) same-feature,
+/// same-direction test in the same rule, so dropping it is
+/// predict()-equivalent; \p Subsumer receives, per condition, the index
+/// of the subsuming condition (LintFinding::npos when it is kept).  NaN
+/// thresholds are excluded (the rule is dead regardless; the analyzer
+/// reports that as its own finding).
+std::vector<char> redundantConditionMask(const Rule &R,
+                                         std::vector<size_t> &Subsumer) {
   std::vector<char> Mask(R.Conditions.size(), 0);
-  if (Subsumer)
-    Subsumer->assign(R.Conditions.size(), LintFinding::npos);
+  Subsumer.assign(R.Conditions.size(), LintFinding::npos);
   for (size_t C = 0; C != R.Conditions.size(); ++C) {
     const Condition &Cond = R.Conditions[C];
     if (std::isnan(Cond.Threshold))
@@ -248,12 +251,13 @@ schedfilter::redundantConditionMask(const Rule &R,
     }
     if (Tightest != LintFinding::npos) {
       Mask[C] = 1;
-      if (Subsumer)
-        (*Subsumer)[C] = Tightest;
+      Subsumer[C] = Tightest;
     }
   }
   return Mask;
 }
+
+} // namespace
 
 RuleAnalysis schedfilter::analyzeRuleSet(const RuleSet &RS,
                                          const Dataset *Observed,
@@ -338,11 +342,10 @@ RuleAnalysis schedfilter::analyzeRuleSet(const RuleSet &RS,
                  "]");
     }
 
-    // Within-rule redundancy via the shared keep-tightest pass (also
-    // used by CompiledFilter::canonicalRules).
+    // Within-rule redundancy via the keep-tightest pass.
     {
       std::vector<size_t> Subsumer;
-      A.RemoveCondition[I] = redundantConditionMask(R, &Subsumer);
+      A.RemoveCondition[I] = redundantConditionMask(R, Subsumer);
       for (size_t C = 0; C != R.Conditions.size(); ++C)
         if (A.RemoveCondition[I][C])
           Emit(LintKind::RedundantCondition, LintSeverity::Warning, I, C,

@@ -2,11 +2,10 @@
 
 #include "filter/CompiledFilter.h"
 
-#include "analysis/RuleAnalysis.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -263,53 +262,11 @@ void CompiledFilter::evaluateBatch(const FeatureMatrix &M,
     return;
   }
 
-  // General path (> 64 cells): predicate-row-major mask words, resolved
-  // with the same cursor walk as evaluate() -- identical Work counting by
-  // construction -- but each step is a bit test instead of a double
-  // multiply-compare.
-  const size_t Rows = PredRows.size();
-  const size_t Words = (Rows + 63) / 64;
-  Scratch.assign(Words * N, 0);
-  for (size_t J = 0; J != Rows; ++J) {
-    const PredRowInfo &R = PredRows[J];
-    const double *Col = M.column(R.Feature);
-    const double S = R.Sign;
-    const double T = R.Threshold;
-    const uint64_t Bit = uint64_t{1} << (J & 63);
-    uint64_t *Out = Scratch.data() + (J >> 6) * N;
-    for (size_t I = 0; I != N; ++I)
-      Out[I] |= S * Col[I] <= T ? Bit : 0;
-  }
-  const uint32_t End = NumCells;
-  const FilterCell *Cs = Cells.data();
-  const uint64_t *Pred = Scratch.data();
+  // General path (> 64 cells; no trained filter in the repo): the
+  // scalar cursor walk, row by row.
   for (size_t I = 0; I != N; ++I) {
-    uint32_t C = Entry;
-    uint64_t W = 0;
-    while (C < End) {
-      const FilterCell &L = Cs[C];
-      ++W;
-      uint64_t WordV = Pred[static_cast<size_t>(L.PredRow >> 6) * N + I];
-      C = (WordV >> (L.PredRow & 63)) & 1 ? L.OnPass : L.OnFail;
-    }
-    Decision D = terminalDecision(C, W);
+    Decision D = evaluate(M.row(I));
     IsLS[I] = D.ScheduleLS;
     Work[I] = D.Work;
   }
-}
-
-RuleSet CompiledFilter::canonicalRules(const RuleSet &RS) {
-  RuleSet Out(RS.getDefaultClass());
-  for (const Rule &R : RS.rules()) {
-    std::vector<char> Drop = redundantConditionMask(R);
-    Rule Kept;
-    Kept.Conclusion = R.Conclusion;
-    Kept.NumCorrect = R.NumCorrect;
-    Kept.NumIncorrect = R.NumIncorrect;
-    for (size_t C = 0; C != R.Conditions.size(); ++C)
-      if (!Drop[C])
-        Kept.Conditions.push_back(R.Conditions[C]);
-    Out.addRule(std::move(Kept));
-  }
-  return Out;
 }

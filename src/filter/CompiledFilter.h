@@ -76,15 +76,13 @@ public:
     uint64_t Work = 0;
   };
 
-  /// Reusable batch scratch: the predicate bit matrix, packed into
-  /// 64-bit words.  When the filter's cells plus one guard bit per rule
-  /// fit one word (every trained filter in the repo), the layout is one
-  /// word per block, one bit per cell in rule order, so first-match
+  /// Reusable batch scratch: the predicate bit matrix, one 64-bit word
+  /// per block, one bit per cell in rule order, so first-match
   /// resolution is straight-line bit arithmetic on a single register
-  /// (see evaluateBatch); larger filters fall back to predicate-row-major
-  /// words.  Packing matters: with byte-per-predicate storage each
-  /// resolution step touched a different N-spaced cache line.  Grow-only,
-  /// one per thread like every other arena buffer.
+  /// (see evaluateBatch).  Used only when the filter's cells plus one
+  /// guard bit per rule fit one word (every trained filter in the repo);
+  /// larger filters evaluate row by row and leave it untouched.
+  /// Grow-only, one per thread like every other arena buffer.
   using BatchScratch = std::vector<uint64_t>;
 
   CompiledFilter() = default; ///< empty set: always the default class (NS)
@@ -106,27 +104,13 @@ public:
 
   /// Batch evaluation: for every row I of \p M, writes evaluate(row I)
   /// into IsLS[I] / Work[I] (arrays of at least M.size()).  The predicate
-  /// matrix lives in \p Scratch and is reused across calls.
+  /// matrix lives in \p Scratch and is reused across calls; a filter too
+  /// large for the one-word fast path is evaluate()d row by row.
   void evaluateBatch(const FeatureMatrix &M, BatchScratch &Scratch,
                      unsigned char *IsLS, uint64_t *Work) const;
 
   size_t numCells() const { return Cells.size(); }
   size_t numPredRows() const { return PredRows.size(); }
-  Label defaultClass() const { return Default; }
-
-  /// The canonical (keep-tightest) form of \p RS: every within-rule
-  /// condition that the analyzer's shared redundantConditionMask marks as
-  /// subsumed is dropped; rule order, conclusions, coverage counts and
-  /// the default class are preserved.  This is exactly the within-rule
-  /// half of sf-lint --fix (analysis/normalizeRuleSet applies the same
-  /// mask), so a linted file and a compiled filter agree on condition
-  /// order -- tests/compiled_filter_test.cpp round-trips the two.
-  ///
-  /// Note the compiler itself intentionally does NOT evaluate from the
-  /// canonical form: dropping a redundant condition would change
-  /// predictionWork, and the cell array is contractually work-equivalent
-  /// to the interpreter over the rule set as given.
-  static RuleSet canonicalRules(const RuleSet &RS);
 
 private:
   Decision terminalDecision(uint32_t C, uint64_t W) const {

@@ -2,8 +2,8 @@
 
 #include "filter/FilterVersion.h"
 
-#include "io/TraceStore.h"
 #include "ml/Serialization.h"
+#include "support/Wire.h"
 
 #include <sstream>
 

@@ -25,19 +25,6 @@ schedfilter::labelSuite(const std::vector<BenchmarkRun> &Suite,
   return ExperimentEngine(1).labelSuite(Suite, ThresholdPct);
 }
 
-ThresholdResult
-schedfilter::runThreshold(const std::vector<BenchmarkRun> &Suite,
-                          double ThresholdPct, const LearnerFn &Learner) {
-  return ExperimentEngine(1).runThreshold(Suite, ThresholdPct, Learner);
-}
-
-std::vector<ThresholdResult>
-schedfilter::runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
-                               const std::vector<double> &Thresholds,
-                               const LearnerFn &Learner) {
-  return ExperimentEngine(1).runThresholdSweep(Suite, Thresholds, Learner);
-}
-
 std::vector<double> schedfilter::paperThresholds() {
   std::vector<double> T;
   for (int V = 0; V <= 50; V += 5)

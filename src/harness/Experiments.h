@@ -92,19 +92,6 @@ struct ThresholdResult {
   std::vector<RuleSet> Filters;
 };
 
-/// Runs the full experiment at one threshold: label, LOOCV-train with
-/// \p Learner, evaluate, and compile each program under its held-out
-/// filter.
-ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
-                             double ThresholdPct, const LearnerFn &Learner);
-
-/// Sweeps thresholds (the paper uses 0..50 step 5) and returns one
-/// ThresholdResult per value.
-std::vector<ThresholdResult>
-runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
-                  const std::vector<double> &Thresholds,
-                  const LearnerFn &Learner);
-
 /// The paper's threshold grid: {0, 5, ..., 50}.
 std::vector<double> paperThresholds();
 

@@ -3,6 +3,7 @@
 #include "harness/ParallelExperiments.h"
 
 #include "ml/Metrics.h"
+#include "runtime/MethodCompiler.h"
 #include "sched/SchedContext.h"
 #include "support/Statistics.h"
 #include "workloads/WorkloadFamily.h"
@@ -15,27 +16,15 @@ namespace {
 
 /// The §2.2 instrumented-scheduler pass plus the two fixed-policy compile
 /// reports for one benchmark; fills \p Run.Records and the reports from
-/// the already-generated Run.Prog.  All per-block work reuses \p Ctx, so
-/// this is the allocation-free steady state the SchedContext refactor
-/// bought; a pure function of (Run.Prog, Model) -- safe at any
-/// parallelism.
+/// the already-generated Run.Prog.  The records are MethodCompiler's
+/// per-method trace, method by method -- the one recipe the online
+/// serving loop traces with too.  All per-block work reuses \p Ctx; a
+/// pure function of (Run.Prog, Model) -- safe at any parallelism.
 void traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
                     SchedContext &Ctx) {
-  ListScheduler Scheduler(Model);
-  BlockSimulator Sim(Model);
-
-  // For every block, record its features and its simulated cost with and
-  // without list scheduling.
-  std::vector<int> &Order = Ctx.orderBuffer();
-  Run.Prog.forEachBlock([&](const BasicBlock &BB) {
-    BlockRecord Rec;
-    Rec.X = extractFeatures(BB);
-    Rec.ExecCount = BB.getExecCount();
-    Rec.CostNoSched = Sim.simulate(BB, Ctx);
-    Scheduler.schedule(BB, Ctx, Order);
-    Rec.CostSched = Sim.simulate(BB, Order, Ctx);
-    Run.Records.push_back(Rec);
-  });
+  MethodCompiler Compiler(Model, Ctx);
+  for (const Method &M : Run.Prog)
+    Compiler.traceMethod(M, Run.Records);
 
   Run.NeverReport =
       compileProgram(Run.Prog, Model, SchedulingPolicy::Never, nullptr, Ctx);

@@ -2,16 +2,12 @@
 
 #include "io/CorpusCache.h"
 
+#include "io/Envelope.h"
 #include "io/TraceStore.h"
+#include "support/StringUtils.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-
-#include <unistd.h>
 
 using namespace schedfilter;
 
@@ -28,14 +24,6 @@ std::string sanitize(const std::string &S) {
     Out.push_back(Safe ? C : '_');
   }
   return Out.empty() ? "unnamed" : Out;
-}
-
-std::string hex64(uint64_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[static_cast<size_t>(I)] = Digits[V & 0xf];
-  return Out;
 }
 
 void putReport(std::string &Out, const CompileReport &R) {
@@ -61,55 +49,19 @@ bool getReport(const char *&P, const char *End, CompileReport &R) {
          wire::getF64(P, End, R.SimulatedTime);
 }
 
-} // namespace
-
-CorpusCache::CorpusCache(std::string Directory) : Dir(std::move(Directory)) {}
-
-std::string CorpusCache::entryPath(const CorpusKey &K) const {
-  std::string FamilySeg = K.Family.empty() ? "" : sanitize(K.Family) + "__";
-  return Dir + "/" + sanitize(K.Benchmark) + "__" + sanitize(K.Model) +
-         "__" + FamilySeg + "g" + std::to_string(K.GeneratorVersion) + "p" +
-         std::to_string(K.PipelineVersion) + "__" +
-         hex64(K.SpecFingerprint) + ".sfcc";
-}
-
-std::optional<CachedRun>
-CorpusCache::load(const CorpusKey &K,
-                  std::optional<uint64_t> ExpectedRecords) {
-  std::ifstream IS(entryPath(K), std::ios::binary);
-  if (!IS) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++S.Misses;
+/// Decodes one SFCC1 entry file's \p Bytes for key \p K; nullopt on any
+/// validation failure.
+std::optional<CachedRun> parseEntry(const CorpusKey &K,
+                                    std::optional<uint64_t> ExpectedRecords,
+                                    std::string Bytes) {
+  // Magic and whole-body checksum: a flipped bit in the key or report
+  // block must be as fatal as one in the record payload.
+  ParseResult<std::string> Body =
+      openEnvelope(CorpusEntryMagic, std::move(Bytes));
+  if (!Body)
     return std::nullopt;
-  }
-
-  auto Invalid = [&]() -> std::optional<CachedRun> {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++S.Misses;
-    ++S.InvalidEntries;
-    return std::nullopt;
-  };
-
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  const char *P = Bytes.data();
-  const char *End = P + Bytes.size();
-
-  // Magic line.
-  const size_t MagicLen = sizeof(CorpusEntryMagic); // includes the '\n' slot
-  if (Bytes.size() < MagicLen ||
-      Bytes.compare(0, MagicLen - 1, CorpusEntryMagic) != 0 ||
-      Bytes[MagicLen - 1] != '\n')
-    return Invalid();
-  P += MagicLen;
-
-  // Whole-body checksum: everything after this field -- key, reports and
-  // records alike.  A flipped bit in the report block must be as fatal
-  // as one in the payload.
-  uint64_t Checksum;
-  if (!wire::getU64(P, End, Checksum) ||
-      wire::fnv1a(P, static_cast<size_t>(End - P)) != Checksum)
-    return Invalid();
+  const char *P = Body->data();
+  const char *End = P + Body->size();
 
   // Header: the full key, embedded and verified -- an entry renamed onto
   // another key must not be believed.
@@ -123,35 +75,62 @@ CorpusCache::load(const CorpusKey &K,
       !wire::getU64(P, End, Fingerprint) ||
       !wire::getString(P, End, Bench) || !wire::getString(P, End, Model) ||
       !wire::getString(P, End, Family))
-    return Invalid();
+    return std::nullopt;
   if (GenVersion != K.GeneratorVersion ||
       PipeVersion != K.PipelineVersion ||
       Fingerprint != K.SpecFingerprint || Bench != K.Benchmark ||
       Model != K.Model || Family != K.Family)
-    return Invalid();
+    return std::nullopt;
 
   CachedRun Run;
   if (!getReport(P, End, Run.NeverReport) ||
       !getReport(P, End, Run.AlwaysReport))
-    return Invalid();
+    return std::nullopt;
 
   uint64_t Count;
-  if (!wire::getU64(P, End, Count))
-    return Invalid();
-  if (ExpectedRecords && Count != *ExpectedRecords)
-    return Invalid();
+  if (!wire::getU64(P, End, Count) ||
+      (ExpectedRecords && Count != *ExpectedRecords))
+    return std::nullopt;
   const uint64_t RecordSize = NumFeatures * 8 + 24;
   const uint64_t Avail = static_cast<uint64_t>(End - P);
   if (Count > Avail / RecordSize || Count * RecordSize != Avail)
-    return Invalid();
+    return std::nullopt;
   ParseResult<std::vector<BlockRecord>> Records =
       wire::decodeRecords(P, End, Count);
   if (!Records)
-    return Invalid();
+    return std::nullopt;
   Run.Records = std::move(*Records);
+  return Run;
+}
+
+} // namespace
+
+CorpusCache::CorpusCache(std::string Directory) : Dir(std::move(Directory)) {}
+
+std::string CorpusCache::entryPath(const CorpusKey &K) const {
+  std::string FamilySeg = K.Family.empty() ? "" : sanitize(K.Family) + "__";
+  return Dir + "/" + sanitize(K.Benchmark) + "__" + sanitize(K.Model) +
+         "__" + FamilySeg + "g" + std::to_string(K.GeneratorVersion) + "p" +
+         std::to_string(K.PipelineVersion) + "__" +
+         formatHex64(K.SpecFingerprint) + ".sfcc";
+}
+
+std::optional<CachedRun>
+CorpusCache::load(const CorpusKey &K,
+                  std::optional<uint64_t> ExpectedRecords) {
+  std::string Bytes;
+  bool Present = readFileBytes(entryPath(K), Bytes);
+  std::optional<CachedRun> Run =
+      Present ? parseEntry(K, ExpectedRecords, std::move(Bytes))
+              : std::nullopt;
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++S.Hits;
+  if (Run) {
+    ++S.Hits;
+  } else {
+    ++S.Misses;
+    S.InvalidEntries += Present;
+  }
   return Run;
 }
 
@@ -159,12 +138,6 @@ bool CorpusCache::store(const CorpusKey &K,
                         const std::vector<BlockRecord> &Records,
                         const CompileReport &NeverReport,
                         const CompileReport &AlwaysReport) {
-  auto Failed = [&]() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++S.StoreFailures;
-    return false;
-  };
-
   std::string Body;
   wire::putU16(Body, NumFeatures);
   wire::putU32(Body, K.GeneratorVersion);
@@ -178,42 +151,10 @@ bool CorpusCache::store(const CorpusKey &K,
   wire::putU64(Body, Records.size());
   Body += wire::encodeRecords(Records);
 
-  std::string Bytes(CorpusEntryMagic);
-  Bytes += '\n';
-  wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
-  Bytes += Body;
-
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC); // best effort; open reports
-
-  // Unique temp name per process and store call, then an atomic rename:
-  // a concurrent reader sees the old entry or the new one, never a torn
-  // file.
-  static std::atomic<uint64_t> StoreSerial{0};
-  std::string Path = entryPath(K);
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(StoreSerial.fetch_add(1));
-  {
-    std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OS)
-      return Failed();
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    OS.flush();
-    if (!OS) {
-      OS.close();
-      std::filesystem::remove(Tmp, EC);
-      return Failed();
-    }
-  }
-  std::filesystem::rename(Tmp, Path, EC);
-  if (EC) {
-    std::filesystem::remove(Tmp, EC);
-    return Failed();
-  }
-
+  bool Stored = writeEnvelope(entryPath(K), CorpusEntryMagic, Body);
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++S.Stores;
-  return true;
+  ++(Stored ? S.Stores : S.StoreFailures);
+  return Stored;
 }
 
 CorpusCache::Stats CorpusCache::stats() const {

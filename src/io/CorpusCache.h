@@ -23,10 +23,11 @@
 ///     modified spec (a shrunken test suite, an ablation variant) can
 ///     never collide with the stock benchmark of the same name.
 ///
-/// Entries are single files in the SFCC1 format: after the magic line,
-/// an FNV-1a checksum covering the whole remaining body -- the embedded
-/// key (verified on load: a renamed file cannot lie about its contents),
-/// the NS/LS compile reports, and the SFTB1-encoded record payload
+/// Entries are single files in the SFCC1 format, sealed in the shared
+/// envelope (io/Envelope.h: magic line, then an FNV-1a checksum covering
+/// the whole remaining body).  The body is the embedded key (verified on
+/// load: a renamed file cannot lie about its contents), the NS/LS
+/// compile reports, and the SFTB1-encoded record payload
 /// (io/TraceStore.h).  Loads never trust a file: any mismatch -- magic,
 /// checksum, key, feature count, size -- counts as a miss and the
 /// benchmark is retraced and the entry rewritten.  Stores write to a

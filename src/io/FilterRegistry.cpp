@@ -2,15 +2,14 @@
 
 #include "io/FilterRegistry.h"
 
-#include "io/TraceStore.h"
+#include "io/Envelope.h"
 #include "ml/Serialization.h"
+#include "support/Wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include <unistd.h>
@@ -64,44 +63,10 @@ bool FilterRegistry::store(const FilterVersionMeta &Meta,
   wire::putString(Body, Meta.Workload);
   wire::putString(Body, RulesText);
 
-  std::string Bytes(FilterRegistryMagic);
-  Bytes += '\n';
-  wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
-  Bytes += Body;
-
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC); // best effort; open reports
-
-  // Unique temp name, then an atomic rename -- the CorpusCache idiom: a
-  // concurrent reader sees the old entry or the new one, never torn bytes.
-  static std::atomic<uint64_t> StoreSerial{0};
-  std::string Path = entryPath(Meta.Version);
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(StoreSerial.fetch_add(1));
-  {
-    std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OS) {
-      ++S.StoreFailures;
-      return false;
-    }
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    OS.flush();
-    if (!OS) {
-      OS.close();
-      std::filesystem::remove(Tmp, EC);
-      ++S.StoreFailures;
-      return false;
-    }
-  }
-  std::filesystem::rename(Tmp, Path, EC);
-  if (EC) {
-    std::filesystem::remove(Tmp, EC);
-    ++S.StoreFailures;
-    return false;
-  }
-
-  ++S.Stores;
-  return true;
+  bool Stored =
+      writeEnvelope(entryPath(Meta.Version), FilterRegistryMagic, Body);
+  ++(Stored ? S.Stores : S.StoreFailures);
+  return Stored;
 }
 
 ParseResult<RegistryEntry> FilterRegistry::load(uint32_t Version) const {
@@ -110,29 +75,17 @@ ParseResult<RegistryEntry> FilterRegistry::load(uint32_t Version) const {
     return ParseResult<RegistryEntry>(ParseError{0, Path + ": " + Why});
   };
 
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
+  std::string Bytes;
+  if (!readFileBytes(Path, Bytes))
     return Fail("cannot open registry entry");
 
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  const char *P = Bytes.data();
-  const char *End = P + Bytes.size();
-
-  // Magic line.
-  const size_t MagicLen = sizeof(FilterRegistryMagic); // includes '\n' slot
-  if (Bytes.size() < MagicLen ||
-      Bytes.compare(0, MagicLen - 1, FilterRegistryMagic) != 0 ||
-      Bytes[MagicLen - 1] != '\n')
-    return Fail("not an SFFR1 registry entry");
-  P += MagicLen;
-
-  // Whole-body checksum before believing a single field.
-  uint64_t Checksum;
-  if (!wire::getU64(P, End, Checksum))
-    return Fail("truncated entry (no checksum)");
-  if (wire::fnv1a(P, static_cast<size_t>(End - P)) != Checksum)
-    return Fail("checksum mismatch (corrupt or truncated entry)");
+  // Magic and whole-body checksum before believing a single field.
+  ParseResult<std::string> Body =
+      openEnvelope(FilterRegistryMagic, std::move(Bytes));
+  if (!Body)
+    return Fail(Body.error().Message);
+  const char *P = Body->data();
+  const char *End = P + Body->size();
 
   RegistryEntry E;
   std::string RulesText;

@@ -7,7 +7,7 @@
 /// across runs -- the registry directory is part of the deterministic
 /// contract (identical bytes at any --jobs and cache temperature).
 ///
-/// Format (SFFR1), following the SFCC1 never-trust-a-file discipline:
+/// Format (SFFR1), in the envelope SFCC1 entries share (io/Envelope.h):
 ///
 ///   SFFR1\n
 ///   u64  FNV-1a checksum of everything after this field
@@ -25,7 +25,7 @@
 /// validates magic, checksum, embedded version, and rule-set syntax; any
 /// mismatch is a hard parse error (an entry renamed onto another version
 /// number must not be believed).  Stores write a unique temp file and
-/// atomically rename, the CorpusCache idiom.
+/// atomically rename.
 ///
 //===----------------------------------------------------------------------===//
 

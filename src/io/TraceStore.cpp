@@ -18,93 +18,8 @@
 using namespace schedfilter;
 
 //===----------------------------------------------------------------------===//
-// Wire helpers
+// Record payload
 //===----------------------------------------------------------------------===//
-
-void wire::putU16(std::string &Out, uint16_t V) {
-  for (int I = 0; I != 2; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void wire::putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void wire::putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void wire::putF64(std::string &Out, double V) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(V), "double must be 64-bit");
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
-
-void wire::putString(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.append(S);
-}
-
-bool wire::getU16(const char *&P, const char *End, uint16_t &V) {
-  if (End - P < 2)
-    return false;
-  V = 0;
-  for (int I = 0; I != 2; ++I)
-    V = static_cast<uint16_t>(V | static_cast<uint16_t>(
-                                      static_cast<unsigned char>(P[I]))
-                                      << (8 * I));
-  P += 2;
-  return true;
-}
-
-bool wire::getU32(const char *&P, const char *End, uint32_t &V) {
-  if (End - P < 4)
-    return false;
-  V = 0;
-  for (int I = 0; I != 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<unsigned char>(P[I])) << (8 * I);
-  P += 4;
-  return true;
-}
-
-bool wire::getU64(const char *&P, const char *End, uint64_t &V) {
-  if (End - P < 8)
-    return false;
-  V = 0;
-  for (int I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<unsigned char>(P[I])) << (8 * I);
-  P += 8;
-  return true;
-}
-
-bool wire::getF64(const char *&P, const char *End, double &V) {
-  uint64_t Bits;
-  if (!getU64(P, End, Bits))
-    return false;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return true;
-}
-
-bool wire::getString(const char *&P, const char *End, std::string &S) {
-  uint32_t Len;
-  if (!getU32(P, End, Len) || static_cast<size_t>(End - P) < Len)
-    return false;
-  S.assign(P, Len);
-  P += Len;
-  return true;
-}
-
-uint64_t wire::fnv1a(const char *Data, size_t Size) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= static_cast<unsigned char>(Data[I]);
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
 
 std::string wire::encodeRecords(const std::vector<BlockRecord> &Records) {
   std::string Payload;
@@ -165,10 +80,6 @@ std::string schedfilter::formatDoubleShortest(double V) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// First line of an SFTB1 stream (the header-exported constant, locally
-/// named for the readers/writers below).
-const char *const BinaryMagicLine = TraceBinaryMagic;
 
 std::string expectedHeader() {
   std::string H;
@@ -329,7 +240,7 @@ void schedfilter::writeTrace(const std::vector<BlockRecord> &Records,
   }
 
   std::string Payload = wire::encodeRecords(Records);
-  std::string Header(BinaryMagicLine);
+  std::string Header(TraceBinaryMagic);
   Header += '\n';
   wire::putU16(Header, NumFeatures);
   wire::putU64(Header, Records.size());
@@ -343,7 +254,7 @@ ParseResult<std::vector<BlockRecord>> schedfilter::readTrace(std::istream &IS) {
   if (!std::getline(IS, First))
     return ParseError{0, "empty input (expected a trace header or SFTB1 "
                          "magic)"};
-  if (First == BinaryMagicLine)
+  if (First == TraceBinaryMagic)
     return readTraceBinaryBody(IS);
   stripCR(First);
   return readTraceCsvBody(IS, std::move(First));

@@ -39,6 +39,7 @@
 
 #include "io/ParseResult.h"
 #include "ml/Labeler.h"
+#include "support/Wire.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -78,25 +79,9 @@ ParseResult<std::vector<BlockRecord>> readTraceFile(const std::string &Path);
 /// anywhere else a double must survive a text round trip.
 std::string formatDoubleShortest(double V);
 
-/// Low-level little-endian wire helpers shared by the SFTB1 trace format
-/// and the corpus cache's SFCC1 entries.
+/// The record payload shared by SFTB1 traces and SFCC1 corpus entries,
+/// on the support/Wire.h codec.
 namespace wire {
-
-void putU16(std::string &Out, uint16_t V);
-void putU32(std::string &Out, uint32_t V);
-void putU64(std::string &Out, uint64_t V);
-void putF64(std::string &Out, double V);
-void putString(std::string &Out, const std::string &S); ///< u32 length + bytes
-
-/// Cursor-based readers: advance \p P, fail (return false) on underrun.
-bool getU16(const char *&P, const char *End, uint16_t &V);
-bool getU32(const char *&P, const char *End, uint32_t &V);
-bool getU64(const char *&P, const char *End, uint64_t &V);
-bool getF64(const char *&P, const char *End, double &V);
-bool getString(const char *&P, const char *End, std::string &S);
-
-/// FNV-1a 64-bit over \p Size bytes.
-uint64_t fnv1a(const char *Data, size_t Size);
 
 /// Encodes \p Records as the SFTB1/SFCC1 record payload (no header).
 std::string encodeRecords(const std::vector<BlockRecord> &Records);

@@ -2,11 +2,6 @@
 
 #include "ml/Dataset.h"
 
-#include <cstdlib>
-#include <istream>
-#include <ostream>
-#include <sstream>
-
 using namespace schedfilter;
 
 const char *schedfilter::getLabelName(Label L) {
@@ -38,48 +33,4 @@ ColumnView Dataset::columns() const {
           Instances[I].X[F];
   }
   return CV;
-}
-
-void Dataset::writeCsv(std::ostream &OS) const {
-  for (unsigned F = 0; F != NumFeatures; ++F)
-    OS << getFeatureName(F) << ',';
-  OS << "label\n";
-  for (const Instance &I : Instances) {
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      OS << I.X[F] << ',';
-    OS << getLabelName(I.Y) << '\n';
-  }
-}
-
-bool Dataset::readCsv(std::istream &IS) {
-  std::vector<Instance> Parsed;
-  std::string Line;
-  if (!std::getline(IS, Line))
-    return false; // missing header
-  while (std::getline(IS, Line)) {
-    if (Line.empty())
-      continue;
-    std::istringstream SS(Line);
-    Instance Inst;
-    std::string Cell;
-    for (unsigned F = 0; F != NumFeatures; ++F) {
-      if (!std::getline(SS, Cell, ','))
-        return false;
-      char *End = nullptr;
-      Inst.X[F] = std::strtod(Cell.c_str(), &End);
-      if (End == Cell.c_str())
-        return false;
-    }
-    if (!std::getline(SS, Cell))
-      return false;
-    if (Cell == "LS")
-      Inst.Y = Label::LS;
-    else if (Cell == "NS")
-      Inst.Y = Label::NS;
-    else
-      return false;
-    Parsed.push_back(Inst);
-  }
-  Instances = std::move(Parsed);
-  return true;
 }

@@ -12,7 +12,6 @@
 
 #include "features/Features.h"
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -76,13 +75,6 @@ public:
 
   /// Builds a feature-major snapshot of the instances (see ColumnView).
   ColumnView columns() const;
-
-  /// Writes instances as CSV: feature columns then the label name.
-  void writeCsv(std::ostream &OS) const;
-
-  /// Parses the CSV format produced by writeCsv.  Returns false (and leaves
-  /// the dataset unchanged) on malformed input.
-  bool readCsv(std::istream &IS);
 
 private:
   std::string Name;

@@ -1,14 +1,14 @@
-//===- ml/OnlineTrainer.h - Serve-time corpus + retrain policy --*- C++ -*-===//
+//===- ml/OnlineTrainer.h - Serve-time corpus + retrain trigger -*- C++ -*-===//
 ///
 /// \file
-/// The learning half of the online-adaptation loop (ROADMAP item 4): the
-/// optimizing tier traces the methods it compiles (runtime/MethodCompiler
-/// traceMethod), those raw BlockRecords accumulate here, and a
-/// RetrainPolicy driven purely by the virtual clock decides when the
-/// corpus is retrained into the next filter version.  Nothing in this
-/// file reads wall time or a std engine: a given (seed, config) pair
-/// reproduces the exact sequence of retrain triggers, which is what makes
-/// the serving loop's swap sequence byte-identical at any --jobs.
+/// The learning half of the online-adaptation loop: the optimizing tier
+/// traces the methods it compiles (runtime/MethodCompiler traceMethod),
+/// those raw BlockRecords accumulate here, and a trigger driven purely by
+/// the virtual clock decides when the corpus is retrained into the next
+/// filter version.  Nothing in this file reads wall time or a std engine:
+/// a given (seed, config) pair reproduces the exact sequence of retrain
+/// triggers, which is what makes the serving loop's swap sequence
+/// byte-identical at any --jobs.
 ///
 /// Layering: this is ml/ code -- it knows Labeler's threshold rule and
 /// Ripper, but nothing about epochs, queues, or services.  The runtime
@@ -23,93 +23,44 @@
 
 #include "filter/FilterVersion.h"
 #include "ml/Labeler.h"
-#include "ml/Ripper.h"
 
 namespace schedfilter {
 
 class TaskPool;
 
-/// Grow-only store of raw labeled-trace material.  Records append in the
-/// caller's (deterministic) order; the accumulator never reorders or
-/// dedups, so the labeled dataset it yields is a pure function of the
-/// append sequence.
-class CorpusAccumulator {
-public:
-  /// Installs the pre-serve training corpus (e.g. the records the initial
-  /// factory filter trained on), replacing any current contents.
-  void seed(std::vector<BlockRecord> Records) {
-    Store = std::move(Records);
-    TrainedMark = Store.size();
-  }
-
-  /// Appends serve-time records (one optimizing-tier compile's trace).
-  void append(const std::vector<BlockRecord> &Records) {
-    Store.insert(Store.end(), Records.begin(), Records.end());
-  }
-
-  size_t size() const { return Store.size(); }
-
-  /// Records appended since the last markTrained() (what a retrain would
-  /// newly learn from).
-  size_t newSinceTrain() const { return Store.size() - TrainedMark; }
-
-  /// Labels the whole corpus at \p ThresholdPct (the paper's threshold
-  /// rule, (0, t] band dropped) into a dataset named \p Name.
-  Dataset label(double ThresholdPct, const std::string &Name) const {
-    return buildDataset(Store, ThresholdPct, Name);
-  }
-
-  /// Marks the current contents as consumed by a train.
-  void markTrained() { TrainedMark = Store.size(); }
-
-private:
-  std::vector<BlockRecord> Store;
-  size_t TrainedMark = 0;
-};
-
-/// When to retrain, as a pure function of the virtual clock.  No wall
-/// time, no randomness: the trigger sequence is replayable from config.
-struct RetrainPolicy {
-  /// Minimum virtual ticks between retrain triggers (and before the
-  /// first, measured from tick 0 where the initial version installed).
-  uint64_t RetrainEvery = 8192;
-  /// Minimum newly-accumulated records for a trigger to fire (an idle
-  /// interval with nothing new to learn from retrains nothing).
-  uint64_t MinNewRecords = 1;
-
-  bool shouldRetrain(uint64_t Tick, uint64_t LastTriggerTick,
-                     size_t NewRecords) const {
-    return Tick - LastTriggerTick >= RetrainEvery &&
-           NewRecords >= MinNewRecords;
-  }
-};
-
-/// Bundles the accumulator and policy into the object a serving loop
-/// holds: feed it traces, ask it at epoch boundaries whether a new filter
-/// version is due, and it trains one (on the shared pool -- bit-identical
-/// at any job count) stamped with full provenance.
+/// What a serving loop holds: feed it traces, ask it at epoch boundaries
+/// whether a new filter version is due, and it trains one (on the shared
+/// pool -- bit-identical at any job count) stamped with full provenance.
+///
+/// The corpus is grow-only: records append in the caller's
+/// (deterministic) order and are never reordered or deduplicated, so
+/// every retrain is a pure function of the append sequence.  A retrain
+/// fires at tick T when at least RetrainEvery ticks passed since the
+/// last trigger (or since tick 0, where the initial version installed)
+/// and at least one record arrived since the last train -- an idle
+/// interval retrains nothing.
 class OnlineTrainer {
 public:
   /// \p Pool is borrowed for Ripper's pooled training; \p ThresholdPct is
   /// the labeling threshold every retrain uses (the serve run's -t).
-  OnlineTrainer(TaskPool &Pool, double ThresholdPct, RetrainPolicy Policy)
-      : Pool(Pool), ThresholdPct(ThresholdPct), Policy(Policy) {}
+  OnlineTrainer(TaskPool &Pool, double ThresholdPct, uint64_t RetrainEvery)
+      : Pool(Pool), ThresholdPct(ThresholdPct), RetrainEvery(RetrainEvery) {}
 
-  /// Installs the pre-serve corpus (see CorpusAccumulator::seed).
+  /// Installs the pre-serve corpus (the records the initial factory
+  /// filter trained on), replacing any current contents; it counts as
+  /// already trained on.
   void seedCorpus(std::vector<BlockRecord> Records) {
-    Corpus.seed(std::move(Records));
+    Corpus = std::move(Records);
+    TrainedMark = Corpus.size();
   }
 
   /// Absorbs one compile's trace records.  Call from a serial,
   /// deterministic-order path only (the service's install loop).
   void absorb(const std::vector<BlockRecord> &Records) {
-    Corpus.append(Records);
+    Corpus.insert(Corpus.end(), Records.begin(), Records.end());
   }
 
-  const CorpusAccumulator &corpus() const { return Corpus; }
-  const RetrainPolicy &policy() const { return Policy; }
-
-  /// If the policy fires at virtual tick \p Tick, trains version
+  /// If a retrain is due at virtual tick \p Tick, trains version
   /// CurrentVersion+1 on the full corpus and returns it; otherwise null.
   /// The artifact records the trigger tick and corpus size as provenance.
   FilterArtifactRef maybeRetrain(uint64_t Tick, uint32_t CurrentVersion);
@@ -117,8 +68,9 @@ public:
 private:
   TaskPool &Pool;
   double ThresholdPct;
-  RetrainPolicy Policy;
-  CorpusAccumulator Corpus;
+  uint64_t RetrainEvery;
+  std::vector<BlockRecord> Corpus;
+  size_t TrainedMark = 0; ///< corpus size at the last train
   uint64_t LastTriggerTick = 0;
 };
 

@@ -79,10 +79,7 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
 
 void MethodCompiler::traceMethod(const Method &M,
                                  std::vector<BlockRecord> &Records) {
-  // Mirrors the experiment engine's traceBenchmark block recipe exactly:
-  // unscheduled cost first, then schedule and re-simulate -- so records
-  // produced here label identically to a whole-program trace of the same
-  // blocks.
+  // Unscheduled cost first, then schedule and re-simulate.
   std::vector<int> &Order = Ctx.orderBuffer();
   for (const BasicBlock &BB : M) {
     BlockRecord Rec;
@@ -104,17 +101,6 @@ CompileReport schedfilter::compileProgramAdaptive(const Program &P,
                                                   SchedulingPolicy Policy,
                                                   ScheduleFilter *Filter,
                                                   double HotMethodFraction) {
-  SchedContext Ctx;
-  return compileProgramAdaptive(P, Model, Policy, Filter, HotMethodFraction,
-                                Ctx);
-}
-
-CompileReport schedfilter::compileProgramAdaptive(const Program &P,
-                                                  const MachineModel &Model,
-                                                  SchedulingPolicy Policy,
-                                                  ScheduleFilter *Filter,
-                                                  double HotMethodFraction,
-                                                  SchedContext &Ctx) {
   assert(HotMethodFraction >= 0.0 && HotMethodFraction <= 1.0 &&
          "fraction must be in [0, 1]");
 
@@ -141,6 +127,7 @@ CompileReport schedfilter::compileProgramAdaptive(const Program &P,
   // partition folded method by method in program order -- the exact block
   // sequence (and therefore the exact SimulatedTime fold) of compiling the
   // two partition programs, as this function historically did.
+  SchedContext Ctx;
   MethodCompiler MC(Model, Ctx);
   CompileReport HotReport;
   HotReport.Policy = Policy;

@@ -51,9 +51,9 @@ public:
   /// The §2.2 instrumented-scheduler pass over one method: appends one
   /// BlockRecord per block (features, simulated cost unscheduled and
   /// list-scheduled, profile weight) to \p Records, in block order.  The
-  /// same per-block recipe as the experiment engine's whole-benchmark
-  /// trace, factored to method granularity so the online serving loop can
-  /// trace exactly the methods its optimizing tier compiles.  A pure
+  /// one trace recipe: the experiment engine traces a whole benchmark
+  /// method by method with it, and the online serving loop traces exactly
+  /// the methods its optimizing tier compiles.  A pure
   /// function of (method, model) -- safe at any parallelism when each
   /// worker appends into its own index-owned vector.
   void traceMethod(const Method &M, std::vector<BlockRecord> &Records);
@@ -76,14 +76,6 @@ CompileReport compileProgramAdaptive(const Program &P,
                                      SchedulingPolicy Policy,
                                      ScheduleFilter *Filter,
                                      double HotMethodFraction);
-
-/// Context-reuse variant of compileProgramAdaptive.
-CompileReport compileProgramAdaptive(const Program &P,
-                                     const MachineModel &Model,
-                                     SchedulingPolicy Policy,
-                                     ScheduleFilter *Filter,
-                                     double HotMethodFraction,
-                                     SchedContext &Ctx);
 
 } // namespace schedfilter
 

@@ -3,10 +3,10 @@
 #include "runtime/MultiAppService.h"
 
 #include "io/FilterRegistry.h"
-#include "io/TraceStore.h"
 #include "runtime/MethodCompiler.h"
 #include "runtime/RecompileQueue.h"
 #include "sched/SchedContext.h"
+#include "support/Wire.h"
 
 #include <algorithm>
 #include <cassert>
@@ -239,8 +239,7 @@ MultiAppStats MultiAppService::run() {
   // shared service, not of any single tenant.
   FilterArtifactRef Cur = BaseArt;
   FilterArtifactRef PendingArt;
-  OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold,
-                        {Cfg.RetrainEvery, Cfg.MinRetrainRecords});
+  OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold, Cfg.RetrainEvery);
   auto InstallSwap = [&](const FilterArtifactRef &Art, uint64_t Epoch,
                          uint64_t Tick) {
     St.Total.Swaps.push_back({Epoch, Tick, Art->Version, Art->ParentVersion,

@@ -97,15 +97,14 @@ struct ServiceConfig {
 
   /// Online self-training (requires the Filtered policy): the optimizing
   /// tier traces every method it compiles, records accumulate in an
-  /// OnlineTrainer, and when the RetrainPolicy fires (virtual clock only)
-  /// a new filter version trains on the shared pool and installs at the
-  /// *next* epoch boundary -- methods compiled in between keep the old
-  /// version (ServiceStats pins which version compiled each method).
+  /// OnlineTrainer, and when a retrain is due (virtual clock only) a new
+  /// filter version trains on the shared pool and installs at the *next*
+  /// epoch boundary -- methods compiled in between keep the old version
+  /// (ServiceStats pins which version compiled each method).
   bool Online = false;
-  /// RetrainPolicy::RetrainEvery, in virtual ticks (--retrain-every).
+  /// Minimum virtual ticks between retrain triggers (--retrain-every); a
+  /// trigger also needs at least one new record since the last train.
   uint64_t RetrainEvery = 8192;
-  /// RetrainPolicy::MinNewRecords.
-  uint64_t MinRetrainRecords = 1;
   /// Labeling threshold (percent) every online retrain uses.
   double RetrainThreshold = 0.0;
 };

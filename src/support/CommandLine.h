@@ -99,6 +99,23 @@ public:
     return Unknown;
   }
 
+  /// Prints "error: unknown option '--NAME'" for every option not in
+  /// \p Known -- and, unless \p TakesPositionals, "error: unexpected
+  /// argument" for every positional -- and returns true if it printed
+  /// any.  Tools call it first, so a typo fails before any work instead
+  /// of running with defaults.
+  bool reportUnknown(std::initializer_list<const char *> Known,
+                     bool TakesPositionals) const {
+    std::vector<std::string> Unknown = unknownOptions(Known);
+    for (const std::string &Name : Unknown)
+      std::cerr << "error: unknown option '--" << Name << "'\n";
+    if (TakesPositionals)
+      return !Unknown.empty();
+    for (const std::string &Arg : Positional)
+      std::cerr << "error: unexpected argument '" << Arg << "'\n";
+    return !Unknown.empty() || !Positional.empty();
+  }
+
   const std::vector<std::string> &positional() const { return Positional; }
 
 private:

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Deterministic, seedable random number generation used by the synthetic
-/// workload generators and by the learner's grow/prune splits.  Every source
-/// of randomness in the repository flows through this class so that every
+/// workload generators, the learner's grow/prune splits, the noise
+/// sources and the serving loop's invocation streams.  Every source of
+/// randomness in the repository flows through this class so that every
 /// experiment is bit-for-bit reproducible from a named 64-bit seed.
 ///
 //===----------------------------------------------------------------------===//
@@ -71,11 +72,6 @@ public:
   /// Samples an index in [0, Weights.size()) with probability proportional
   /// to Weights[i].  Weights must be nonnegative and not all zero.
   size_t pickWeighted(const std::vector<double> &Weights);
-
-  /// Samples a Zipf-like rank in [1, N] with exponent \p S >= 0 by inverse
-  /// transform over the exact normalization constant.  Rank 1 is the most
-  /// probable.  Used for block execution-count (hotness) profiles.
-  int zipf(int N, double S);
 
   /// Derives an independent generator from this stream; convenient for
   /// giving each generated method its own substream.  Consumes state (two

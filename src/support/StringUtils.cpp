@@ -33,3 +33,11 @@ std::string schedfilter::formatTrimmed(double Value) {
   std::snprintf(Buf, sizeof(Buf), "%.6g", Value);
   return std::string(Buf);
 }
+
+std::string schedfilter::formatHex64(uint64_t V) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out(16, '0');
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Out[static_cast<size_t>(I)] = Digits[V & 0xf];
+  return Out;
+}

@@ -10,6 +10,7 @@
 #ifndef SCHEDFILTER_SUPPORT_STRINGUTILS_H
 #define SCHEDFILTER_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 
 namespace schedfilter {
@@ -30,6 +31,9 @@ std::string formatPercent(double Fraction, int Decimals = 1);
 /// zeros, e.g. 0.1 -> "0.1", 2 -> "2".  Used for canonical parameter
 /// spellings that must round-trip through strtod.
 std::string formatTrimmed(double Value);
+
+/// Formats \p V as 16 lowercase hex digits, zero-padded (no "0x").
+std::string formatHex64(uint64_t V);
 
 } // namespace schedfilter
 

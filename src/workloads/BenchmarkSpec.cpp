@@ -2,13 +2,13 @@
 
 #include "workloads/BenchmarkSpec.h"
 
-#include "io/TraceStore.h"
+#include "support/Wire.h"
 
 using namespace schedfilter;
 
 uint64_t schedfilter::specFingerprint(const BenchmarkSpec &S) {
   // Canonical little-endian serialization of every generator input,
-  // hashed with the one FNV-1a implementation (io/TraceStore.h).
+  // hashed with the one FNV-1a implementation (support/Wire.h).
   // Description is presentation-only and deliberately excluded.
   std::string B;
   wire::putString(B, S.Name);

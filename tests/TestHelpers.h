@@ -1,14 +1,15 @@
 //===- tests/TestHelpers.h - Shared fixtures for the test suite -*- C++ -*-===//
 ///
 /// \file
-/// Block builders, shrunken benchmark suites and one-app serving shared
-/// across test files.
+/// Block builders, shrunken benchmark suites, serial threshold
+/// experiments and one-app serving shared across test files.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCHEDFILTER_TESTS_TESTHELPERS_H
 #define SCHEDFILTER_TESTS_TESTHELPERS_H
 
+#include "harness/ParallelExperiments.h"
 #include "mir/BasicBlock.h"
 #include "runtime/MultiAppService.h"
 #include "workloads/BenchmarkSpec.h"
@@ -77,6 +78,21 @@ shrinkSuite(std::vector<BenchmarkSpec> Suite, int NumMethods = 10) {
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = NumMethods;
   return Suite;
+}
+
+/// A one-job engine's threshold experiment over a hand-built suite.
+inline ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
+                                    double ThresholdPct,
+                                    const LearnerFn &Learner) {
+  return ExperimentEngine(1).runThreshold(Suite, ThresholdPct, Learner);
+}
+
+/// A one-job engine's threshold sweep over a hand-built suite.
+inline std::vector<ThresholdResult>
+runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
+                  const std::vector<double> &Thresholds,
+                  const LearnerFn &Learner) {
+  return ExperimentEngine(1).runThresholdSweep(Suite, Thresholds, Learner);
 }
 
 /// Serves \p P alone -- the one-app mix, on Cfg.StreamSeed -- and returns

@@ -258,44 +258,6 @@ TEST(CompiledFilter, RandomizedRuleSets) {
   }
 }
 
-TEST(CompiledFilter, CanonicalRulesSharesAnalyzerNormalization) {
-  // canonicalRules must be exactly the within-rule half of sf-lint --fix:
-  // on a set with redundant conditions but no dead/shadowed rules it is
-  // bit-identical to normalizeRuleSet's output, predict-equivalent to the
-  // original (proved on the corner grid), and idempotent.
-  RuleSet RS(Label::NS);
-  Rule R1;
-  R1.Conclusion = Label::LS;
-  R1.NumCorrect = 11;
-  R1.NumIncorrect = 2;
-  R1.Conditions.push_back({FeatBBLen, false, 5.0});
-  R1.Conditions.push_back({FeatBBLen, false, 3.0}); // looser: subsumed
-  R1.Conditions.push_back({FeatLoad, true, 0.5});
-  R1.Conditions.push_back({FeatLoad, true, 0.5}); // duplicate: subsumed
-  RS.addRule(std::move(R1));
-  Rule R2;
-  R2.Conclusion = Label::LS;
-  R2.Conditions.push_back({FeatStore, true, 0.25});
-  RS.addRule(std::move(R2));
-
-  RuleSet Canon = CompiledFilter::canonicalRules(RS);
-  EXPECT_EQ(Canon.totalConditions(), RS.totalConditions() - 2);
-  EXPECT_TRUE(
-      identicalRuleSets(Canon, normalizeRuleSet(RS, analyzeRuleSet(RS))));
-  EXPECT_TRUE(identicalRuleSets(Canon, CompiledFilter::canonicalRules(Canon)));
-  EquivalenceCheck E = checkPredictEquivalence(RS, Canon);
-  EXPECT_TRUE(E.Equivalent);
-  EXPECT_TRUE(E.Exhaustive);
-
-  // The compiler intentionally evaluates the ORIGINAL conditions: work
-  // counts include the redundant compares, exactly like the interpreter.
-  FeatureVector X{};
-  X[FeatBBLen] = 10.0;
-  X[FeatLoad] = 0.1;
-  EXPECT_EQ(CompiledFilter(RS).evaluate(X).Work, RS.predictionWork(X));
-  EXPECT_GT(RS.predictionWork(X), Canon.predictionWork(X));
-}
-
 TEST(FeatureMatrix, ColumnMajorBitIdentity) {
   // appendBlock must store bit-for-bit what extractFeatures returns, in
   // both row and column views, and extractFeaturesBatch must sum exactly

@@ -22,6 +22,7 @@
 #include <sstream>
 
 using namespace schedfilter;
+using namespace schedfilter::test;
 
 namespace {
 

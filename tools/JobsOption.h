@@ -2,8 +2,8 @@
 ///
 /// \file
 /// One place for the sf-* tools and bench drivers to resolve strict
-/// decimal-integer flags -- --jobs and sf-serve's service knobs -- so
-/// the validation and the error message cannot drift between them.  The
+/// numeric flags -- --jobs, --threshold and sf-serve's service knobs --
+/// so the validation and the error message cannot drift between them.  The
 /// engine guarantees results are bit-for-bit identical at any accepted
 /// --jobs value (see harness/ParallelExperiments.h), so --jobs is purely
 /// a wall-clock knob.
@@ -46,6 +46,20 @@ inline std::optional<uint64_t> parseCountOption(const CommandLine &CL,
   if (!Valid || V < Min || V > Max) {
     std::cerr << "error: --" << Name << " expects an integer in [" << Min
               << ", " << Max << "] (got '" << Value << "')\n";
+    return std::nullopt;
+  }
+  return V;
+}
+
+/// Resolves --threshold, a labeling percentage in [0, 100] (default 0):
+/// the strict decimal parse of CommandLine::getDouble plus the range
+/// check.  Trailing junk or an out-of-range value prints an error and
+/// returns nullopt -- never a silent fallback to the default.
+inline std::optional<double> parseThresholdOption(const CommandLine &CL) {
+  std::optional<double> V = CL.getDouble("threshold", 0.0);
+  if (V && !(*V >= 0.0 && *V <= 100.0)) {
+    std::cerr << "error: --threshold expects a percentage in [0, 100] "
+                 "(got '" << CL.get("threshold") << "')\n";
     return std::nullopt;
   }
   return V;

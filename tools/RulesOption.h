@@ -2,7 +2,8 @@
 //
 // The one implementation of "open a rules file, parse it strictly, and
 // report failures in the io/ file:line discipline" that sf-apply,
-// sf-serve, and sf-lint all share.  Two entry points:
+// sf-serve, and sf-lint all share, and of writing one back (sf-train,
+// sf-lint --fix).  Three entry points:
 //
 //   readRulesFileChecked  -- open + parse; diagnostics to stderr as
 //                            "error: PATH[:LINE]: message".  For tools
@@ -14,6 +15,9 @@
 //                            for a sloppy rule set; sf-lint --fix
 //                            normalizes).  For tools about to *use* the
 //                            filter (sf-apply, sf-serve).
+//   writeRulesFileChecked -- write in the v1 text format; a file that
+//                            cannot be opened or fully written (disk
+//                            full) is an error, never a silent success.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +67,25 @@ loadRulesFileWithLint(const std::string &Path) {
       printFindings(Lint, std::cerr, Path, &File->RuleLines);
   }
   return File;
+}
+
+/// Writes \p Rules to \p Path in the v1 text format.  Returns false after
+/// a printed diagnostic when the file cannot be opened or fully written.
+inline bool writeRulesFileChecked(const std::string &Path,
+                                  const RuleSet &Rules) {
+  std::ofstream OS(Path, std::ios::trunc);
+  if (!OS) {
+    std::cerr << "error: cannot open '" << Path << "' for writing\n";
+    return false;
+  }
+  writeRuleSet(Rules, OS);
+  OS.flush();
+  if (!OS) {
+    std::cerr << "error: failed writing '" << Path
+              << "' (disk full or device error)\n";
+    return false;
+  }
+  return true;
 }
 
 } // namespace schedfilter

@@ -43,6 +43,10 @@ static int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"help", "version", "list", "rules", "benchmark",
+                        "model", "hot"},
+                       /*TakesPositionals=*/false))
+    return usage();
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

@@ -44,7 +44,6 @@
 #include "VersionOption.h"
 #include "WorkloadOption.h"
 
-#include <fstream>
 #include <iostream>
 
 using namespace schedfilter;
@@ -71,6 +70,11 @@ int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"help", "version", "list", "benchmark", "threshold",
+                        "fix", "out", "max-grid", "model", "jobs",
+                        "corpus-dir", "no-cache"},
+                       /*TakesPositionals=*/true))
+    return usage();
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;
@@ -102,14 +106,9 @@ int main(int argc, char **argv) {
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
     return 1;
-  std::optional<double> Threshold = CL.getDouble("threshold", 0.0);
+  std::optional<double> Threshold = parseThresholdOption(CL);
   if (!Threshold)
     return 1;
-  if (!(*Threshold >= 0.0 && *Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
   std::optional<uint64_t> MaxGrid =
       parseCountOption(CL, "max-grid", 1u << 22, 1, 1u << 30);
   if (!MaxGrid)
@@ -182,18 +181,8 @@ int main(int argc, char **argv) {
               << "'\n";
     return 1;
   }
-  std::ofstream OS(OutPath, std::ios::trunc);
-  if (!OS) {
-    std::cerr << "error: cannot open '" << OutPath << "' for writing\n";
+  if (!writeRulesFileChecked(OutPath, Fixed))
     return 1;
-  }
-  writeRuleSet(Fixed, OS);
-  OS.flush();
-  if (!OS) {
-    std::cerr << "error: failed writing '" << OutPath
-              << "' (disk full or device error)\n";
-    return 1;
-  }
 
   std::cout << "wrote " << OutPath << ": removed " << Analysis.removedRules()
             << " rules and " << Analysis.removedConditions()

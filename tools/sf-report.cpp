@@ -42,6 +42,12 @@ static void printUsage(std::ostream &OS) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"help", "version", "suite", "model", "fig4-holdout",
+                        "jobs", "corpus-dir", "no-cache"},
+                       /*TakesPositionals=*/false)) {
+    printUsage(std::cerr);
+    return 1;
+  }
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

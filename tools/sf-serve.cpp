@@ -94,23 +94,6 @@ void printUsage(std::ostream &OS) {
         "       sf-serve --help | --version\n";
 }
 
-/// Resolves --threshold (a percentage in [0, 100]): the strict shared
-/// numeric parse (CommandLine::getDouble) plus the range check.  Trailing
-/// junk or out-of-range values error out, never silently fall back to the
-/// default -- identically across all five sf-* tools.
-bool parseThresholdFlag(const CommandLine &CL, double &Out) {
-  std::optional<double> V = CL.getDouble("threshold", 0.0);
-  if (!V)
-    return false;
-  if (!(*V >= 0.0 && *V <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return false;
-  }
-  Out = *V;
-  return true;
-}
-
 std::string formatKiloUnits(uint64_t Units) {
   return formatDouble(static_cast<double>(Units) / 1e3, 1) + "k";
 }
@@ -176,14 +159,6 @@ bool parseOnlineOptions(const CommandLine &CL, ServiceConfig &Cfg,
   return true;
 }
 
-std::string formatHex64(uint64_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[static_cast<size_t>(I)] = Digits[V & 0xf];
-  return Out;
-}
-
 /// The online-mode stdout tail: retrain counters and the run's full swap
 /// lineage.  Every field is deterministic -- part of the byte-identical
 /// stdout contract at any --jobs and cache temperature.
@@ -235,8 +210,8 @@ bool resolveFilter(const CommandLine &CL, const std::vector<AppSpec> &Apps,
     Programs = generateMixPrograms(Apps);
     return true;
   }
-  double Threshold = 0.0;
-  if (!parseThresholdFlag(CL, Threshold))
+  std::optional<double> Threshold = parseThresholdOption(CL);
+  if (!Threshold)
     return false;
   std::vector<BenchmarkSpec> Suite;
   Suite.reserve(Apps.size());
@@ -245,9 +220,9 @@ bool resolveFilter(const CommandLine &CL, const std::vector<AppSpec> &Apps,
   std::cerr << "training filter on "
             << (Apps.size() == 1 ? Workload + "'s own trace"
                                  : std::string("the mix's own traces"))
-            << " (t = " << Threshold << "; tracing on cache miss)...\n";
+            << " (t = " << *Threshold << "; tracing on cache miss)...\n";
   std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
-  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, *Threshold);
   Dataset Train(Workload);
   for (const Dataset &D : Labeled)
     Train.append(D);
@@ -255,7 +230,7 @@ bool resolveFilter(const CommandLine &CL, const std::vector<AppSpec> &Apps,
   RuleAnalysis Lint = analyzeRuleSet(Rules, &Train);
   if (!Lint.clean())
     printFindings(Lint, std::cerr);
-  Cfg.RetrainThreshold = Threshold;
+  Cfg.RetrainThreshold = *Threshold;
   Programs.reserve(Runs.size());
   for (BenchmarkRun &Run : Runs) {
     if (Cfg.Online)
@@ -307,16 +282,12 @@ int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
   // Every option sf-serve understands; anything else is rejected before
   // any work, so a typo never runs with defaults.
-  std::vector<std::string> Unknown = CL.unknownOptions(
-      {"benchmark", "workload", "list", "help", "version", "rules",
-       "threshold", "model", "jobs", "corpus-dir", "no-cache",
-       "invocations", "hot-threshold", "queue-cap", "sample-every",
-       "epoch-len", "drain", "online", "retrain-every", "registry"});
-  for (const std::string &Name : Unknown)
-    std::cerr << "error: unknown option '--" << Name << "'\n";
-  for (const std::string &Arg : CL.positional())
-    std::cerr << "error: unexpected argument '" << Arg << "'\n";
-  if (!Unknown.empty() || !CL.positional().empty()) {
+  if (CL.reportUnknown({"benchmark", "workload", "list", "help", "version",
+                        "rules", "threshold", "model", "jobs", "corpus-dir",
+                        "no-cache", "invocations", "hot-threshold",
+                        "queue-cap", "sample-every", "epoch-len", "drain",
+                        "online", "retrain-every", "registry"},
+                       /*TakesPositionals=*/false)) {
     printUsage(std::cerr);
     return 1;
   }

@@ -57,6 +57,11 @@ static int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"help", "version", "list", "benchmark", "workload",
+                        "model", "out", "format", "jobs", "corpus-dir",
+                        "no-cache", "noise", "noise-seed"},
+                       /*TakesPositionals=*/false))
+    return usage();
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

@@ -47,10 +47,10 @@
 #include "EngineOption.h"
 #include "ModelOption.h"
 #include "NoiseOption.h"
+#include "RulesOption.h"
 #include "VersionOption.h"
 #include "WorkloadOption.h"
 
-#include <fstream>
 #include <iostream>
 
 using namespace schedfilter;
@@ -127,18 +127,8 @@ static int inspectRegistry(const CommandLine &CL) {
 
   std::string Out = CL.get("out");
   if (!Out.empty()) {
-    std::ofstream OS(Out, std::ios::trunc);
-    if (!OS) {
-      std::cerr << "error: cannot open '" << Out << "' for writing\n";
+    if (!writeRulesFileChecked(Out, Chosen->Rules))
       return 1;
-    }
-    writeRuleSet(Chosen->Rules, OS);
-    OS.flush();
-    if (!OS) {
-      std::cerr << "error: failed writing filter to '" << Out
-                << "' (disk full or device error)\n";
-      return 1;
-    }
     std::cerr << "\nwrote v" << Chosen->Meta.Version << " to " << Out << '\n';
   }
   return 0;
@@ -146,6 +136,12 @@ static int inspectRegistry(const CommandLine &CL) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"help", "version", "from-registry", "filter-version",
+                        "out", "workload", "threshold", "learner", "model",
+                        "jobs", "corpus-dir", "no-cache", "noise",
+                        "noise-seed"},
+                       /*TakesPositionals=*/true))
+    return usage();
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;
@@ -165,14 +161,9 @@ int main(int argc, char **argv) {
   if (CL.positional().empty() && Mix->empty())
     return usage();
 
-  std::optional<double> Threshold = CL.getDouble("threshold", 0.0);
+  std::optional<double> Threshold = parseThresholdOption(CL);
   if (!Threshold)
     return 1;
-  if (!(*Threshold >= 0.0 && *Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
   std::string LearnerName = CL.get("learner", "ripper");
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
@@ -274,18 +265,8 @@ int main(int argc, char **argv) {
 
   std::string Out = CL.get("out");
   if (!Out.empty()) {
-    std::ofstream OS(Out, std::ios::trunc);
-    if (!OS) {
-      std::cerr << "error: cannot open '" << Out << "' for writing\n";
+    if (!writeRulesFileChecked(Out, Filter))
       return 1;
-    }
-    writeRuleSet(Filter, OS);
-    OS.flush();
-    if (!OS) {
-      std::cerr << "error: failed writing filter to '" << Out
-                << "' (disk full or device error)\n";
-      return 1;
-    }
     std::cerr << "\nwrote filter to " << Out << '\n';
   }
   return 0;
