@@ -54,9 +54,8 @@ void runAblation(ExperimentEngine &Engine,
                   "Effort vs LS", "App time vs NS", "LS benefit retained"});
   for (const NamedLearner &L : Learners) {
     ThresholdResult R = Engine.runThreshold(Suite, Threshold, L.Learner);
-    double LS = geometricMean(R.AppRatioLS);
     double LN = geometricMean(R.AppRatioLN);
-    double Retained = LS < 1.0 ? 100.0 * (1.0 - LN) / (1.0 - LS) : 100.0;
+    double Retained = lsBenefitRetained(LN, geometricMean(R.AppRatioLS));
     size_t Rules = 0, Conds = 0;
     for (const RuleSet &RS : R.Filters) {
       Rules += RS.size();
@@ -66,7 +65,7 @@ void runAblation(ExperimentEngine &Engine,
               std::to_string(Rules / R.Filters.size()) + "/" +
                   std::to_string(Conds / R.Filters.size()),
               formatPercent(geometricMean(R.EffortRatioWork), 1),
-              formatDouble(LN, 4), formatDouble(Retained, 1) + "%"});
+              formatDouble(LN, 4), formatPercent(Retained, 1)});
   }
   T.print(OS);
   OS << '\n';
@@ -76,6 +75,8 @@ void runAblation(ExperimentEngine &Engine,
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

@@ -54,13 +54,15 @@ void evaluate(const std::vector<BenchmarkRun> &Suite,
   }
   double GLs = geometricMean(AppLS), GLn = geometricMean(AppLN);
   T.addRow({Name, formatDouble(GLs, 4), formatDouble(GLn, 4),
-            formatDouble(100.0 * (1.0 - GLn) / (1.0 - GLs), 1) + "%"});
+            formatPercent(lsBenefitRetained(GLn, GLs), 1)});
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

@@ -16,6 +16,7 @@
 
 #include "sched/LearnedPriority.h"
 #include "sched/OptimalScheduler.h"
+#include "support/CommandLine.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -43,7 +44,10 @@ std::vector<BasicBlock> sampleBlocks(const char *Benchmark, uint64_t Seed,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  CommandLine CL(argc, argv);
+  if (CL.reportUnknown({}))
+    return 1;
   MachineModel Model = MachineModel::ppc7410();
 
   std::cout << "Companion problem (paper §2 / NIPS'97): learning *how* to "

@@ -92,6 +92,9 @@ struct Variant {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache", "quick", "threshold",
+                        "out"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;
@@ -99,15 +102,10 @@ int main(int argc, char **argv) {
   TaskPool &Pool = Engine.pool();
   const bool Quick = CL.has("quick");
 
-  std::optional<double> ThresholdFlag = CL.getDouble("threshold", 20.0);
+  std::optional<double> ThresholdFlag = parseThresholdOption(CL, 20.0);
   if (!ThresholdFlag)
     return 1;
   double Threshold = *ThresholdFlag;
-  if (!(Threshold >= 0.0 && Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
 
   // The two sides of the shift.  Pre-shift traffic is pointer-chasing
   // (scheduling barely pays; a filter trained here learns to decline);

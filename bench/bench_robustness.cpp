@@ -75,6 +75,9 @@ bool monotoneMargins(const std::vector<RobustnessPoint> &Points) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache", "noise-seed",
+                        "threshold", "quick", "suite", "out"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;
@@ -84,14 +87,9 @@ int main(int argc, char **argv) {
       parseCountOption(CL, "noise-seed", DefaultNoiseSeed, 0, UINT64_MAX);
   if (!Seed)
     return 1;
-  std::optional<double> Threshold = CL.getDouble("threshold", 20.0);
+  std::optional<double> Threshold = parseThresholdOption(CL, 20.0);
   if (!Threshold)
     return 1;
-  if (!(*Threshold >= 0.0 && *Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
   const bool Quick = CL.has("quick");
 
   // Which families and which rungs.  --quick keeps CI's smoke cheap: one

@@ -48,6 +48,8 @@ double retention(const BenchmarkRun &Run, const RuleSet &Filter) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

@@ -31,6 +31,8 @@ using namespace schedfilter;
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"workload", "jobs", "corpus-dir", "no-cache"}))
+    return 1;
   // --workload swaps in any family mix's benchmarks (each still served as
   // its own single-app stream here; sf-serve --workload interleaves them).
   // Weights are accepted for flag symmetry but don't affect this sweep.

@@ -45,6 +45,8 @@ static void printSuite(ExperimentEngine &Engine, const char *Title,
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

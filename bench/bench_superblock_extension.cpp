@@ -87,6 +87,8 @@ SuperblockData measure(const BenchmarkSpec &Spec, const MachineModel &Model) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs"}))
+    return 1;
   std::optional<unsigned> Jobs = parseJobsOption(CL);
   if (!Jobs)
     return 1;

@@ -42,6 +42,8 @@ using namespace schedfilter;
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"workload", "jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<WorkloadMix> MixFlag = parseWorkloadOption(CL);
   if (!MixFlag)
     return 1;

@@ -31,6 +31,7 @@
 
 #include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
+#include "support/CommandLine.h"
 #include "support/Timer.h"
 
 #include "BenchJson.h"
@@ -61,6 +62,8 @@ double throughput(const Dataset &D, const Fn &Train, RuleSet &Out) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache", "quick", "out"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

@@ -74,6 +74,8 @@ void evaluateTransfer(const TargetData &Train, const TargetData &Deploy,
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (CL.reportUnknown({"jobs", "corpus-dir", "no-cache"}))
+    return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
     return 1;

@@ -25,6 +25,11 @@ schedfilter::labelSuite(const std::vector<BenchmarkRun> &Suite,
   return ExperimentEngine(1).labelSuite(Suite, ThresholdPct);
 }
 
+double schedfilter::lsBenefitRetained(double AppTimeLN, double AppTimeLS) {
+  double BenefitLS = 1.0 - AppTimeLS;
+  return BenefitLS > 0.0 ? (1.0 - AppTimeLN) / BenefitLS : 1.0;
+}
+
 std::vector<double> schedfilter::paperThresholds() {
   std::vector<double> T;
   for (int V = 0; V <= 50; V += 5)

@@ -38,8 +38,9 @@ constexpr uint32_t TracePipelineVersion = 1;
 struct BenchmarkRun {
   std::string Name;
   /// Name of the MachineModel the records and reports were generated
-  /// under (set by generateSuiteData); runThreshold recompiles under the
-  /// same target so cross-model experiments stay consistent.
+  /// under (set by generateSuiteData; a mistune noise source rewrites
+  /// it).  ExperimentEngine::runHeldOut recompiles each run under its
+  /// own model, so cross-model experiments stay consistent.
   std::string ModelName;
   Program Prog;
   std::vector<BlockRecord> Records;
@@ -91,6 +92,13 @@ struct ThresholdResult {
   /// the tests).
   std::vector<RuleSet> Filters;
 };
+
+/// The share of always-schedule's application-time benefit the filter
+/// keeps, from the suite geometric means of AppRatioLN and AppRatioLS:
+/// (1 - AppTimeLN) / (1 - AppTimeLS), as a fraction.  When LS gives no
+/// benefit (AppTimeLS >= 1) there is nothing to lose, and the filter
+/// keeps all of it: 1.0.
+double lsBenefitRetained(double AppTimeLN, double AppTimeLS);
 
 /// The paper's threshold grid: {0, 5, ..., 50}.
 std::vector<double> paperThresholds();

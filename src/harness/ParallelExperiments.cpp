@@ -144,12 +144,12 @@ ExperimentEngine::labelSuite(const std::vector<BenchmarkRun> &Suite,
 }
 
 ThresholdResult
-ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
-                               double ThresholdPct, const LearnerFn &Learner) {
+ExperimentEngine::runHeldOut(const std::vector<BenchmarkRun> &Suite,
+                             const std::vector<Dataset> &Labeled,
+                             double ThresholdPct, const LearnerFn &Learner) {
+  assert(Labeled.size() == Suite.size() && "one dataset per benchmark");
   ThresholdResult Result;
   Result.ThresholdPct = ThresholdPct;
-
-  std::vector<Dataset> Labeled = labelSuite(Suite, ThresholdPct);
   for (const Dataset &D : Labeled) {
     Result.TrainLS += D.countLabel(Label::LS);
     Result.TrainNS += D.countLabel(Label::NS);
@@ -158,20 +158,17 @@ ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
   std::vector<LoocvFold> Folds = leaveOneOut(Labeled, Learner, Pool);
   assert(Folds.size() == Suite.size() && "one fold per benchmark");
 
-  // Recompile under the same target the suite data was generated with
-  // (generateSuiteData records it); fall back to the paper's target for
-  // hand-assembled runs.
-  MachineModel Model = MachineModel::ppc7410();
-  if (!Suite.empty() && !Suite.front().ModelName.empty())
-    if (std::optional<MachineModel> M =
-            MachineModel::byName(Suite.front().ModelName))
-      Model = *M;
-
+  // Each benchmark is recompiled under the model its run records (after
+  // a mistune noise source, the serve model its reports were recomputed
+  // under).
   std::vector<PerBenchmarkEval> Evals(Suite.size());
   Pool.parallelFor(Suite.size(), [&](size_t B) {
+    std::optional<MachineModel> Model =
+        MachineModel::byName(Suite[B].ModelName);
+    assert(Model && "BenchmarkRun carries a registered model name");
     SchedContext Ctx;
     Evals[B] = evaluateBenchmark(Suite[B], Folds[B].Filter, Labeled[B],
-                                 Model, Ctx);
+                                 *Model, Ctx);
   });
 
   // Assemble in suite order (never completion order).
@@ -188,6 +185,13 @@ ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
     Result.AppRatioLS.push_back(Evals[B].AppRatioLS);
   }
   return Result;
+}
+
+ThresholdResult
+ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
+                               double ThresholdPct, const LearnerFn &Learner) {
+  return runHeldOut(Suite, labelSuite(Suite, ThresholdPct), ThresholdPct,
+                    Learner);
 }
 
 std::vector<ThresholdResult>

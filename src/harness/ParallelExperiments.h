@@ -69,8 +69,18 @@ public:
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct);
 
-  /// Parallel counterpart of schedfilter::runThreshold: LOOCV folds and
-  /// the per-benchmark evaluation/recompilation both fan out.
+  /// The one held-out evaluator behind every §4 number: LOOCV-trains
+  /// \p Learner over \p Labeled (one dataset per run of \p Suite, in
+  /// suite order, already labeled at \p ThresholdPct -- by labelSuite or
+  /// through a noise stack's label hooks) and prices each held-out filter
+  /// on its own benchmark, recompiled under that run's ModelName, against
+  /// the run's fixed-policy reports.  LOOCV folds and the per-benchmark
+  /// pricing both fan out.
+  ThresholdResult runHeldOut(const std::vector<BenchmarkRun> &Suite,
+                             const std::vector<Dataset> &Labeled,
+                             double ThresholdPct, const LearnerFn &Learner);
+
+  /// runHeldOut over labelSuite(Suite, ThresholdPct).
   ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
                                double ThresholdPct, const LearnerFn &Learner);
 

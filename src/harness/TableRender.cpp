@@ -163,14 +163,10 @@ void schedfilter::renderHeadline(const std::vector<ThresholdResult> &Sweep,
   TablePrinter T({"Threshold", "LS benefit retained", "Effort vs LS (work)",
                   "Effort vs LS (wall)"});
   for (const ThresholdResult &R : Sweep) {
-    double LS = geometricMean(R.AppRatioLS);
-    double LN = geometricMean(R.AppRatioLN);
-    double BenefitLS = 1.0 - LS;
-    double BenefitLN = 1.0 - LN;
-    double Retained =
-        BenefitLS > 0.0 ? 100.0 * BenefitLN / BenefitLS : 100.0;
+    double Retained = lsBenefitRetained(geometricMean(R.AppRatioLN),
+                                        geometricMean(R.AppRatioLS));
     T.addRow({formatDouble(R.ThresholdPct, 0) + "%",
-              formatDouble(Retained, 1) + "%",
+              formatPercent(Retained, 1),
               formatPercent(geometricMean(R.EffortRatioWork), 1),
               formatPercent(geometricMean(R.EffortRatioWall), 1)});
   }

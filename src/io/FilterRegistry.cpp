@@ -4,6 +4,7 @@
 
 #include "io/Envelope.h"
 #include "ml/Serialization.h"
+#include "support/StringUtils.h"
 #include "support/Wire.h"
 
 #include <algorithm>
@@ -129,17 +130,9 @@ std::vector<uint32_t> FilterRegistry::listVersions() const {
     if (Name.size() != 12 || Name[0] != 'v' ||
         Name.compare(7, 5, ".sffr") != 0)
       continue;
-    uint32_t V = 0;
-    bool AllDigits = true;
-    for (size_t I = 1; I != 7; ++I) {
-      if (Name[I] < '0' || Name[I] > '9') {
-        AllDigits = false;
-        break;
-      }
-      V = V * 10 + static_cast<uint32_t>(Name[I] - '0');
-    }
-    if (AllDigits)
-      Versions.push_back(V);
+    uint64_t V = 0;
+    if (parseDigits(Name.substr(1, 6), V) == NumberParse::Ok)
+      Versions.push_back(static_cast<uint32_t>(V));
   }
   std::sort(Versions.begin(), Versions.end());
   return Versions;

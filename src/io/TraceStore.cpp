@@ -3,9 +3,8 @@
 #include "io/TraceStore.h"
 
 #include "features/Features.h"
+#include "support/StringUtils.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -110,40 +109,34 @@ void splitCells(const std::string &Line, std::vector<std::string> &Cells) {
   }
 }
 
-/// Strict feature-cell parse: the whole cell must be a number.  Returns
-/// the reason on failure, "" on success.  strtod also accepts NaN and
-/// infinity spellings (and overflows to infinity); those are refused, as
-/// in the binary decoder.
+/// Strict feature-cell parse through the shared number grammar
+/// (parseDecimal): hex spellings, NaN, infinities and overflow are
+/// refused, as in the binary decoder and the rules-file reader.  Returns
+/// the reason on failure, "" on success.
 std::string parseFeatureCell(const std::string &Cell, const char *ColName,
                              double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Cell.c_str(), &End);
-  if (Cell.empty() || End != Cell.c_str() + Cell.size())
-    return std::string(ColName) + " cell '" + Cell + "' is not a number";
-  if (!std::isfinite(Out))
-    return std::string(ColName) + " cell '" + Cell + "' is not finite";
-  return "";
+  NumberParse P = parseDecimal(Cell, Out);
+  if (P == NumberParse::Ok)
+    return "";
+  return std::string(ColName) + " cell '" + Cell +
+         (P == NumberParse::NotANumber ? "' is not a number"
+                                       : "' is not finite");
 }
 
-/// Strict unsigned-integer cell parse: digits only (no sign, fraction or
-/// exponent), must fit uint64_t.  Returns the reason on failure, "" on
+/// Strict unsigned-integer cell parse (parseDigits): no sign, fraction or
+/// exponent, must fit uint64_t.  Returns the reason on failure, "" on
 /// success -- the silent-truncation fix: "7154.5" and 2^64 used to be
 /// accepted and cast through strtod.
 std::string parseU64Cell(const std::string &Cell, const char *ColName,
                          uint64_t &Out) {
   if (Cell.empty())
     return std::string(ColName) + " cell is empty";
-  for (char C : Cell)
-    if (!std::isdigit(static_cast<unsigned char>(C)))
-      return std::string(ColName) + " cell '" + Cell +
-             "' is not an unsigned integer";
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Cell.c_str(), &End, 10);
-  if (errno == ERANGE)
-    return std::string(ColName) + " cell '" + Cell + "' overflows uint64_t";
-  Out = V;
-  return "";
+  NumberParse P = parseDigits(Cell, Out);
+  if (P == NumberParse::Ok)
+    return "";
+  return std::string(ColName) + " cell '" + Cell +
+         (P == NumberParse::NotANumber ? "' is not an unsigned integer"
+                                       : "' overflows uint64_t");
 }
 
 ParseResult<std::vector<BlockRecord>> readTraceCsvBody(std::istream &IS,

@@ -2,9 +2,9 @@
 
 #include "ml/Serialization.h"
 
-#include <cmath>
+#include "support/StringUtils.h"
+
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -83,19 +83,16 @@ std::optional<Condition> parseCondition(const std::string &Text,
     Why = "condition on '" + FeatName + "' is missing its threshold";
     return std::nullopt;
   }
-  // Strict full-token parse, mirroring CommandLine::getDouble: strtod
-  // accepts "nan", "inf"/"-inf", hex floats and partial prefixes, all of
-  // which must be rejected -- a NaN threshold creates a never-matching
-  // condition and poisons RuleSet::minMatchableBBLen.
-  bool Hex = ValText.find('x') != std::string::npos ||
-             ValText.find('X') != std::string::npos;
-  char *End = nullptr;
-  double Threshold = std::strtod(ValText.c_str(), &End);
-  if (Hex || End != ValText.c_str() + ValText.size()) {
+  // The shared strict grammar: "nan", "inf"/"-inf", hex floats and
+  // partial prefixes are all rejected -- a NaN threshold creates a
+  // never-matching condition and poisons RuleSet::minMatchableBBLen.
+  double Threshold = 0.0;
+  NumberParse Parsed = parseDecimal(ValText, Threshold);
+  if (Parsed == NumberParse::NotANumber) {
     Why = "threshold '" + ValText + "' is not a number";
     return std::nullopt;
   }
-  if (!std::isfinite(Threshold)) {
+  if (Parsed == NumberParse::OutOfRange) {
     Why = "threshold '" + ValText + "' is not finite (NaN and infinite "
           "thresholds create never-matching conditions)";
     return std::nullopt;

@@ -111,9 +111,10 @@ std::unique_ptr<NoiseSource> makeLatencyJitter(double Sigma);
 
 /// Systematic model mis-tuning: the records keep the costs traced under
 /// the training model, but the run's ModelName and fixed-policy reports
-/// are recomputed under \p ServeModel (MachineModel::byName) -- the
-/// paper's transfer experiment (train on ppc7410, measure on ppc970) as
-/// a composable source.  Draws no randomness.
+/// are recomputed under \p ServeModel (MachineModel::byName), the model
+/// ExperimentEngine::runHeldOut then prices the run under -- the paper's
+/// transfer experiment (train on ppc7410, measure on ppc970) as a
+/// composable source.  Draws no randomness.
 std::unique_ptr<NoiseSource> makeModelMisTune(std::string ServeModel);
 
 /// Label noise: each labeled instance flips LS<->NS with probability

@@ -5,9 +5,6 @@
 #include "support/StringUtils.h"
 #include "target/MachineModel.h"
 
-#include <cmath>
-#include <cstdlib>
-
 using namespace schedfilter;
 
 void NoiseSource::perturb(BenchmarkRun &, const Rng &) const {}
@@ -75,15 +72,6 @@ Dataset NoiseStack::labelRun(const BenchmarkRun &Run, size_t RunIndex,
 
 std::vector<Dataset>
 NoiseStack::labelSuite(const std::vector<BenchmarkRun> &Suite,
-                       double ThresholdPct) const {
-  std::vector<Dataset> Out(Suite.size());
-  for (size_t B = 0; B != Suite.size(); ++B)
-    Out[B] = labelRun(Suite[B], B, ThresholdPct);
-  return Out;
-}
-
-std::vector<Dataset>
-NoiseStack::labelSuite(const std::vector<BenchmarkRun> &Suite,
                        double ThresholdPct, TaskPool &Pool) const {
   std::vector<Dataset> Out(Suite.size());
   Pool.parallelFor(Suite.size(),
@@ -118,17 +106,10 @@ std::string schedfilter::knownNoiseSources() {
 
 namespace {
 
-/// Strict finite decimal in [Lo, Hi], the CommandLine::getDouble
-/// contract re-stated for spec fragments.
+/// Strict finite decimal (parseDecimal) in [Lo, Hi].
 std::optional<double> parseParam(const std::string &V, double Lo, double Hi) {
-  if (V.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  double X = std::strtod(V.c_str(), &End);
-  bool Hex = V.find('x') != std::string::npos ||
-             V.find('X') != std::string::npos;
-  if (Hex || End == V.c_str() || *End != '\0' || !std::isfinite(X) ||
-      X < Lo || X > Hi)
+  double X = 0.0;
+  if (parseDecimal(V, X) != NumberParse::Ok || X < Lo || X > Hi)
     return std::nullopt;
   return X;
 }

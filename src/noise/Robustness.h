@@ -3,12 +3,14 @@
 /// \file
 /// The robustness suite's measurement core: a fixed ladder of noise
 /// stacks of increasing severity, and the evaluation of one (suite,
-/// stack) point -- perturb, label through the stack, LOOCV-train, and
-/// price the induced filter against the always-schedule baseline.
+/// stack) point -- perturb and label through the stack, then price the
+/// held-out filters with the harness's one evaluator
+/// (ExperimentEngine::runHeldOut).
 ///
 /// The frontier vocabulary (bench_robustness and EXPERIMENTS.md):
-///   Retention R = (1 - geomean AppRatioLN) / (1 - geomean AppRatioLS),
-///     the share of always-schedule's app-time benefit the filter keeps;
+///   Retention R = lsBenefitRetained(geomean AppRatioLN,
+///     geomean AppRatioLS), the share of always-schedule's app-time
+///     benefit the filter keeps;
 ///   Effort E    = geomean(Work_LN / Work_LS),
 ///     the share of always-schedule's scheduling work it spends.
 /// Always-schedule itself sits at (R, E) = (1, 1), so the filter beats
@@ -58,11 +60,11 @@ NoiseStack robustnessStack(unsigned Level, uint64_t Seed);
 
 /// Evaluates one point: perturbs \p Suite through \p Stack (by value --
 /// the caller's clean suite is untouched), labels at \p ThresholdPct
-/// with the stack's label hooks, LOOCV-trains RIPPER, and prices every
-/// held-out filter against the run's own fixed-policy reports under the
-/// run's (possibly mis-tuned) model.  Deterministic at any job count:
-/// perturbation, labeling, folds and evaluation all fan out over
-/// index-owned slots.
+/// with the stack's label hooks, and hands the labeled suite to
+/// ExperimentEngine::runHeldOut, which LOOCV-trains RIPPER and prices
+/// every held-out filter under the run's (possibly mis-tuned) model.
+/// Deterministic at any job count: perturbation, labeling, folds and
+/// pricing all fan out over index-owned slots.
 RobustnessPoint runRobustnessPoint(ExperimentEngine &Engine,
                                    std::vector<BenchmarkRun> Suite,
                                    const NoiseStack &Stack,

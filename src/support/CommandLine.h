@@ -11,8 +11,8 @@
 #ifndef SCHEDFILTER_SUPPORT_COMMANDLINE_H
 #define SCHEDFILTER_SUPPORT_COMMANDLINE_H
 
-#include <cmath>
-#include <cstdlib>
+#include "support/StringUtils.h"
+
 #include <initializer_list>
 #include <iostream>
 #include <map>
@@ -55,25 +55,21 @@ public:
   }
 
   /// Returns \p Default when the option is absent, the strictly-parsed
-  /// value otherwise.  The whole token must be a finite decimal number:
-  /// trailing garbage, NaN, infinities and out-of-double-range values all
-  /// print an "--name: expected a number, got '...'" diagnostic and
-  /// return nullopt so the caller can exit non-zero -- a mistyped numeric
-  /// flag must never silently parse as 0 or fall back to its default
-  /// (same contract as the integer knobs in tools/JobsOption.h).
+  /// value otherwise.  The whole token must be a finite decimal number
+  /// (parseDecimal): trailing garbage, hex spellings, NaN, infinities and
+  /// out-of-double-range values all print an "--name: expected a number,
+  /// got '...'" diagnostic and return nullopt so the caller can exit
+  /// non-zero -- a mistyped numeric flag must never silently parse as 0
+  /// or fall back to its default (same contract as the integer knobs in
+  /// tools/JobsOption.h).
   std::optional<double> getDouble(const std::string &Name,
                                   double Default) const {
     auto It = Options.find(Name);
     if (It == Options.end())
       return Default;
     const std::string &Value = It->second;
-    char *End = nullptr;
-    double V = std::strtod(Value.c_str(), &End);
-    // strtod also parses C99 hex-float spellings ("0x10", "0x1p3");
-    // reject them to keep the decimal-only contract.
-    bool Hex = Value.find('x') != std::string::npos ||
-               Value.find('X') != std::string::npos;
-    if (Hex || End == Value.c_str() || *End != '\0' || !std::isfinite(V)) {
+    double V = 0.0;
+    if (parseDecimal(Value, V) != NumberParse::Ok) {
       std::cerr << "error: --" << Name << ": expected a number, got '"
                 << Value << "'\n";
       return std::nullopt;
@@ -105,7 +101,7 @@ public:
   /// any.  Tools call it first, so a typo fails before any work instead
   /// of running with defaults.
   bool reportUnknown(std::initializer_list<const char *> Known,
-                     bool TakesPositionals) const {
+                     bool TakesPositionals = false) const {
     std::vector<std::string> Unknown = unknownOptions(Known);
     for (const std::string &Name : Unknown)
       std::cerr << "error: unknown option '--" << Name << "'\n";

@@ -1,9 +1,11 @@
 //===- support/StringUtils.h - Formatting helpers --------------*- C++ -*-===//
 ///
 /// \file
-/// Tiny string-formatting helpers shared by the table renderers and rule
-/// printers.  Kept deliberately minimal: fixed precision doubles, padding,
-/// and percentage formatting.
+/// Tiny string helpers shared by the table renderers, rule printers and
+/// every reader of numbers from text.  Kept deliberately minimal: fixed
+/// precision doubles, padding, percentage formatting, and the one strict
+/// number grammar (flags, --workload weights, --noise parameters, rules
+/// files and CSV traces all parse through parseDecimal/parseDigits).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,21 @@ std::string formatTrimmed(double Value);
 
 /// Formats \p V as 16 lowercase hex digits, zero-padded (no "0x").
 std::string formatHex64(uint64_t V);
+
+/// Outcome of a strict numeric parse.
+enum class NumberParse { Ok, NotANumber, OutOfRange };
+
+/// Strict decimal number: the whole of \p Text must parse (strtod syntax)
+/// as one finite double.  Empty text, trailing junk and C99 hex spellings
+/// ("0x10", "0x1p3") are NotANumber; NaN, infinities and values past the
+/// double range are OutOfRange.  \p Out is written only on Ok.
+NumberParse parseDecimal(const std::string &Text, double &Out);
+
+/// Strict unsigned decimal integer: digits only -- no sign, space,
+/// fraction or exponent.  Empty text or any other character is
+/// NotANumber; a value past UINT64_MAX is OutOfRange.  \p Out is written
+/// only on Ok.
+NumberParse parseDigits(const std::string &Text, uint64_t &Out);
 
 } // namespace schedfilter
 

@@ -2,11 +2,13 @@
 
 #include "harness/Experiments.h"
 #include "harness/TableRender.h"
+#include "support/Statistics.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 using namespace schedfilter;
@@ -100,6 +102,23 @@ TEST(Experiments, RunThresholdValueRanges) {
     EXPECT_LE(R.AppRatioLN[I], 1.001);
     EXPECT_LE(R.AppRatioLS[I], 1.001);
   }
+}
+
+TEST(Experiments, RetentionIsWholeWhenLsGivesNoBenefit) {
+  // A suite where always-schedule buys nothing (or loses): there is no
+  // benefit to lose, so the filter keeps all of it -- never inf or NaN.
+  ThresholdResult R;
+  R.AppRatioLN = {0.98, 1.02};
+  for (double LS : {1.0, 1.05}) {
+    R.AppRatioLS = {LS, LS};
+    double Kept = lsBenefitRetained(geometricMean(R.AppRatioLN),
+                                    geometricMean(R.AppRatioLS));
+    EXPECT_TRUE(std::isfinite(Kept)) << LS;
+    EXPECT_EQ(Kept, 1.0) << LS;
+  }
+  // With a benefit it is the plain ratio of benefits.
+  EXPECT_NEAR(lsBenefitRetained(0.95, 0.9), 0.5, 1e-12);
+  EXPECT_DOUBLE_EQ(lsBenefitRetained(0.9, 0.9), 1.0);
 }
 
 TEST(Experiments, SweepCoversAllThresholds) {

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "noise/Robustness.h"
+#include "support/Statistics.h"
 
 #include "TestHelpers.h"
 
@@ -396,6 +397,33 @@ TEST(NoiseDrift, FactorsArePureFunctionsOfEpochAndApp) {
   // Different seeds give a different rotation.
   NoiseStack OtherSeed = parseOrDie("drift:1", 14);
   EXPECT_NE(OtherSeed.mixDrift()(1, 0), F(1, 0));
+}
+
+TEST(NoiseRobustness, EmptyStackPointIsTheRunThresholdFrontier) {
+  // One pricing path: a clean point is runThreshold at the same
+  // threshold, summarised -- bit for bit, every field.  The records-based
+  // run-time counts also cover exactly the programs' blocks.
+  ExperimentEngine Engine(2);
+  std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(
+      test::shrinkSuite(specjvm98Suite(), 6), MachineModel::ppc7410());
+  RobustnessPoint P =
+      runRobustnessPoint(Engine, Suite, parseOrDie("", GoldenSeed), 20.0);
+  ThresholdResult R = Engine.runThreshold(Suite, 20.0, ripperLearner());
+
+  EXPECT_EQ(P.Stack, "none");
+  EXPECT_EQ(P.EffortRatio, geometricMean(R.EffortRatioWork));
+  EXPECT_EQ(P.AppTimeLN, geometricMean(R.AppRatioLN));
+  EXPECT_EQ(P.AppTimeLS, geometricMean(R.AppRatioLS));
+  EXPECT_EQ(P.Retention, lsBenefitRetained(P.AppTimeLN, P.AppTimeLS));
+  EXPECT_EQ(P.WinMargin, P.Retention - P.EffortRatio);
+  EXPECT_EQ(P.TrainLS, R.TrainLS);
+  EXPECT_EQ(P.TrainNS, R.TrainNS);
+  EXPECT_EQ(P.RuntimeLS, R.RuntimeLS);
+  EXPECT_EQ(P.RuntimeBlocks, R.RuntimeLS + R.RuntimeNS);
+  size_t Blocks = 0;
+  for (const BenchmarkRun &Run : Suite)
+    Blocks += Run.Prog.totalBlocks();
+  EXPECT_EQ(P.RuntimeBlocks, Blocks);
 }
 
 //===----------------------------------------------------------------------===//

@@ -225,6 +225,26 @@ TEST(TraceFile, RejectsNonFiniteFeatureCells) {
   }
 }
 
+TEST(TraceFile, RejectsHexFloatFeatureCells) {
+  // strtod also reads C99 hex floats; the CSV reader shares the strict
+  // decimal grammar of --threshold and rules files, so "0x1p0" in a
+  // bbLen cell is not a number, not 1.
+  for (const char *Cell : {"0x1p0", "0x10", "0X1"}) {
+    std::vector<BlockRecord> Records(3);
+    std::stringstream SS;
+    writeTrace(Records, SS);
+    std::string Text = SS.str();
+    size_t Pos = Text.find('\n', Text.find('\n') + 1) + 1;
+    Text.replace(Pos, Text.find(',', Pos) - Pos, Cell);
+    std::stringstream In(Text);
+    ParseResult<std::vector<BlockRecord>> R = readTrace(In);
+    ASSERT_FALSE(R.has_value()) << Cell;
+    EXPECT_EQ(R.error().Line, 3u) << Cell;
+    EXPECT_EQ(R.error().Message,
+              std::string("bbLen cell '") + Cell + "' is not a number");
+  }
+}
+
 TEST(TraceFile, BinaryRejectsNonFiniteFeatures) {
   // SFTB1 carries raw IEEE bits, so NaN and infinity survive the
   // checksum; the decoder must refuse them, naming the record.

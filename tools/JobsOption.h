@@ -34,16 +34,8 @@ inline std::optional<uint64_t> parseCountOption(const CommandLine &CL,
   if (!CL.has(Name))
     return Default;
   std::string Value = CL.get(Name);
-  bool Valid = !Value.empty();
   uint64_t V = 0;
-  for (char C : Value) {
-    if (C < '0' || C > '9' || V > Max / 10) {
-      Valid = false;
-      break;
-    }
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  if (!Valid || V < Min || V > Max) {
+  if (parseDigits(Value, V) != NumberParse::Ok || V < Min || V > Max) {
     std::cerr << "error: --" << Name << " expects an integer in [" << Min
               << ", " << Max << "] (got '" << Value << "')\n";
     return std::nullopt;
@@ -51,12 +43,13 @@ inline std::optional<uint64_t> parseCountOption(const CommandLine &CL,
   return V;
 }
 
-/// Resolves --threshold, a labeling percentage in [0, 100] (default 0):
-/// the strict decimal parse of CommandLine::getDouble plus the range
-/// check.  Trailing junk or an out-of-range value prints an error and
-/// returns nullopt -- never a silent fallback to the default.
-inline std::optional<double> parseThresholdOption(const CommandLine &CL) {
-  std::optional<double> V = CL.getDouble("threshold", 0.0);
+/// Resolves --threshold, a labeling percentage in [0, 100] (\p Default
+/// when absent): the strict decimal parse of CommandLine::getDouble plus
+/// the range check.  Trailing junk or an out-of-range value prints an
+/// error and returns nullopt -- never a silent fallback to the default.
+inline std::optional<double> parseThresholdOption(const CommandLine &CL,
+                                                  double Default = 0.0) {
+  std::optional<double> V = CL.getDouble("threshold", Default);
   if (V && !(*V >= 0.0 && *V <= 100.0)) {
     std::cerr << "error: --threshold expects a percentage in [0, 100] "
                  "(got '" << CL.get("threshold") << "')\n";

@@ -3,7 +3,9 @@
 // Runs the paper's whole evaluation in one command and prints every table
 // and figure in order (Tables 3-6, Figures 1-4), plus the headline
 // benefit/effort frontier, for the chosen suite.  This is the "regenerate
-// the paper" button; the per-table bench binaries exist for focused runs.
+// the paper" button and the one command for Tables 3-4 and Figures 2-3
+// (Figure 3 is --suite fp); EXPERIMENTS.md lists what each section should
+// show against the paper.
 //
 // Usage:
 //   sf-report [--suite FAMILY] [--model ppc7410|ppc970|simple-scalar]

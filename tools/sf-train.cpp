@@ -73,6 +73,20 @@ static int usage() {
   return 1;
 }
 
+/// One --learner choice: trains on the labeled set, fanning out over the
+/// pool where the learner can.
+using Trainer = RuleSet (*)(const Dataset &, TaskPool &);
+
+/// The --learner table, looked up before any work.
+static const std::pair<const char *, Trainer> Learners[] = {
+    {"ripper",
+     [](const Dataset &D, TaskPool &P) { return Ripper().train(D, P); }},
+    {"tree",
+     [](const Dataset &D, TaskPool &) { return learnDecisionTreeRules(D); }},
+    {"oner", [](const Dataset &D, TaskPool &) { return learnOneR(D); }},
+    {"stump", [](const Dataset &D, TaskPool &) { return learnSizeStump(D); }},
+};
+
 /// The --from-registry mode: list a persisted lineage's provenance
 /// (stderr), print the selected version's rules (stdout), optionally
 /// export with --out.  No training happens here.
@@ -165,6 +179,14 @@ int main(int argc, char **argv) {
   if (!Threshold)
     return 1;
   std::string LearnerName = CL.get("learner", "ripper");
+  Trainer Learn = nullptr;
+  for (const auto &[Name, Fn] : Learners)
+    if (LearnerName == Name)
+      Learn = Fn;
+  if (!Learn) {
+    std::cerr << "error: unknown learner '" << LearnerName << "'\n";
+    return usage();
+  }
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
     return 1;
@@ -238,19 +260,7 @@ int main(int argc, char **argv) {
             << Train.countLabel(Label::LS) << " LS, "
             << Train.countLabel(Label::NS) << " NS)\n";
 
-  RuleSet Filter(Label::NS);
-  if (LearnerName == "ripper")
-    Filter = Ripper().train(Train, Pool);
-  else if (LearnerName == "tree")
-    Filter = learnDecisionTreeRules(Train);
-  else if (LearnerName == "oner")
-    Filter = learnOneR(Train);
-  else if (LearnerName == "stump")
-    Filter = learnSizeStump(Train);
-  else {
-    std::cerr << "error: unknown learner '" << LearnerName << "'\n";
-    return usage();
-  }
+  RuleSet Filter = Learn(Train, Pool);
 
   std::cerr << "training error "
             << errorRatePercent(Filter, Train) << "%\n\n";
