@@ -49,7 +49,7 @@ double loocvError(ExperimentEngine &Engine,
   for (const Dataset &D : Labeled)
     Masked.push_back(maskFeatures(D, Dropped));
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Masked, ripperLearner(), Engine.pool());
+      leaveOneOut(Masked, ripperLearner(Engine.pool()), Engine.pool());
   std::vector<double> Errors;
   for (size_t B = 0; B != Masked.size(); ++B)
     Errors.push_back(errorRatePercent(Folds[B].Filter, Masked[B]));

@@ -39,7 +39,7 @@ void runAblation(ExperimentEngine &Engine,
     LearnerFn Learner;
   };
   const NamedLearner Learners[] = {
-      {"RIPPER", ripperLearner()},
+      {"RIPPER", ripperLearner(Engine.pool())},
       {"C4.5-style tree",
        [](const Dataset &D) { return learnDecisionTreeRules(D); }},
       {"1R (best single split)",

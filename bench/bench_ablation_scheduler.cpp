@@ -72,8 +72,9 @@ int main(int argc, char **argv) {
   // Labels and filters come from the CPS scheduler only.
   std::vector<BenchmarkRun> Suite =
       Engine.generateSuiteData(specjvm98Suite(), Model);
-  std::vector<LoocvFold> Folds =
-      leaveOneOut(Engine.labelSuite(Suite, 0.0), ripperLearner(), Engine.pool());
+  std::vector<LoocvFold> Folds = leaveOneOut(
+      Engine.labelSuite(Suite, 0.0), ripperLearner(Engine.pool()),
+      Engine.pool());
 
   std::cout << "Scheduler-independence ablation (SPECjvm98, t = 0):\n"
                "filters trained with CPS labels, deployed over two "

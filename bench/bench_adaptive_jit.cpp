@@ -41,7 +41,7 @@ int main(int argc, char **argv) {
       Engine.generateSuiteData(specjvm98Suite(), Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Labeled, ripperLearner(), Engine.pool());
+      leaveOneOut(Labeled, ripperLearner(Engine.pool()), Engine.pool());
 
   std::cout << "Adaptive (hot-method-only) JIT regime: filter savings at "
                "each hot fraction\n(SPECjvm98 geometric means; t = 0 "

@@ -37,7 +37,7 @@ int main(int argc, char **argv) {
   std::vector<BenchmarkRun> Suite =
       Engine.generateSuiteData(specjvm98Suite(), Model);
   std::vector<ThresholdResult> Sweep =
-      Engine.runThresholdSweep(Suite, {0.0}, ripperLearner());
+      Engine.runThresholdSweep(Suite, {0.0}, ripperLearner(Engine.pool()));
 
   renderEffortFigure(Sweep, /*UseWallTime=*/false, std::cout);
   std::cout << '\n';

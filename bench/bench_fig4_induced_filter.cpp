@@ -44,7 +44,7 @@ int main(int argc, char **argv) {
   Dataset Train("specjvm98-minus-jack");
   for (size_t I = 0; I + 1 < Labeled.size(); ++I)
     Train.append(Labeled[I]);
-  RuleSet Filter = Ripper().train(Train);
+  RuleSet Filter = Ripper().train(Train, Engine.pool());
 
   renderInducedFilter(Filter, std::cout);
 

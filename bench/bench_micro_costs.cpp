@@ -75,7 +75,8 @@ RuleSet makeFilter() {
     uint64_t After = Sim.simulate(BB, Sched.schedule(BB).Order);
     D.add({extractFeatures(BB), After < Before ? Label::LS : Label::NS});
   }
-  return Ripper().train(D);
+  TaskPool Serial(1);
+  return Ripper().train(D, Serial);
 }
 
 void BM_FeatureExtraction(benchmark::State &State) {

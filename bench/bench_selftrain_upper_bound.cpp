@@ -31,17 +31,9 @@ using namespace schedfilter;
 namespace {
 
 double retention(const BenchmarkRun &Run, const RuleSet &Filter) {
-  double NS = 0.0, LS = 0.0, LN = 0.0;
-  for (const BlockRecord &Rec : Run.Records) {
-    double W = static_cast<double>(Rec.ExecCount);
-    NS += W * static_cast<double>(Rec.CostNoSched);
-    LS += W * static_cast<double>(Rec.CostSched);
-    LN += W * static_cast<double>(
-                  Filter.predict(Rec.X) == Label::LS ? Rec.CostSched
-                                                     : Rec.CostNoSched);
-  }
-  double Full = NS - LS;
-  return Full > 0.0 ? (NS - LN) / Full : 1.0;
+  RecordPricing P = priceOnRecords(Run.Records, Filter);
+  double Full = P.NoSchedTime - P.SchedTime;
+  return Full > 0.0 ? (P.NoSchedTime - P.FilteredTime) / Full : 1.0;
 }
 
 } // namespace
@@ -59,9 +51,9 @@ int main(int argc, char **argv) {
   std::vector<BenchmarkRun> Suite =
       Engine.generateSuiteData(specjvm98Suite(), Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
-  std::vector<LoocvFold> Factory =
-      leaveOneOut(Labeled, ripperLearner(), Engine.pool());
-  std::vector<LoocvFold> Self = selfTrain(Labeled, ripperLearner());
+  LearnerFn Learner = ripperLearner(Engine.pool());
+  std::vector<LoocvFold> Factory = leaveOneOut(Labeled, Learner, Engine.pool());
+  std::vector<LoocvFold> Self = selfTrain(Labeled, Learner, Engine.pool());
 
   std::cout << "Retraining upper bound (paper footnote 4): factory (LOOCV) "
                "vs self-trained\nfilters, SPECjvm98, t = 0\n\n";

@@ -50,7 +50,7 @@ int main(int argc, char **argv) {
   std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(Specs, Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Labeled, ripperLearner(), Engine.pool());
+      leaveOneOut(Labeled, ripperLearner(Engine.pool()), Engine.pool());
 
   std::vector<MultiAppComparison> Results;
   AccumulatingTimer Wall;

@@ -127,7 +127,7 @@ int main(int argc, char **argv) {
   for (SuperblockData &D : Data)
     Labeled.push_back(std::move(D.Labeled));
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Labeled, ripperLearner(), Pool);
+      leaveOneOut(Labeled, ripperLearner(Pool), Pool);
   std::vector<double> Errors;
   std::cout << "\nLOOCV error at superblock granularity (t = 0):\n";
   for (size_t B = 0; B != Folds.size(); ++B) {

@@ -58,8 +58,8 @@ int main(int argc, char **argv) {
   MachineModel Model = MachineModel::ppc7410();
   std::vector<BenchmarkSpec> Specs = specjvm98Suite();
   std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(Specs, Model);
-  std::vector<ThresholdResult> Sweep =
-      Engine.runThresholdSweep(Suite, paperThresholds(), ripperLearner());
+  std::vector<ThresholdResult> Sweep = Engine.runThresholdSweep(
+      Suite, paperThresholds(), ripperLearner(Engine.pool()));
   renderTable6(Sweep, std::cout);
 
   // Runtime regime: the t = 0 filters of the sweep, installed in the

@@ -88,6 +88,7 @@ int main(int argc, char **argv) {
      << Suite.size() << ",\n  \"jobs\": " << Engine.jobs()
      << ",\n  \"tiers\": [\n";
 
+  TaskPool Serial(1);
   double LargestTierSpeedup = 0.0;
   for (size_t TI = 0; TI != Tiers.size(); ++TI) {
     Dataset Train("tier-" + std::to_string(Tiers[TI]));
@@ -98,7 +99,7 @@ int main(int argc, char **argv) {
     double RefRate = throughput(
         Train, [&] { return reference::trainReference(Train); }, FromRef);
     double IndexedRate = throughput(
-        Train, [&] { return Ripper().train(Train); }, FromIndexed);
+        Train, [&] { return Ripper().train(Train, Serial); }, FromIndexed);
     double PooledRate = throughput(
         Train, [&] { return Ripper().train(Train, Engine.pool()); },
         FromPooled);

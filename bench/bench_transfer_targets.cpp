@@ -40,7 +40,7 @@ TargetData prepare(ExperimentEngine &Engine, const MachineModel &Model) {
   D.ModelName = Model.getName();
   D.Runs = Engine.generateSuiteData(specjvm98Suite(), Model);
   D.Labeled = Engine.labelSuite(D.Runs, /*ThresholdPct=*/0.0);
-  D.Folds = leaveOneOut(D.Labeled, ripperLearner(), Engine.pool());
+  D.Folds = leaveOneOut(D.Labeled, ripperLearner(Engine.pool()), Engine.pool());
   return D;
 }
 
@@ -53,17 +53,10 @@ void evaluateTransfer(const TargetData &Train, const TargetData &Deploy,
     const RuleSet &Filter = Train.Folds[B].Filter;
     Errors.push_back(errorRatePercent(Filter, Deploy.Labeled[B]));
 
-    double NoSched = 0.0, WithFilter = 0.0, FullSched = 0.0;
-    for (const BlockRecord &Rec : Deploy.Runs[B].Records) {
-      double W = static_cast<double>(Rec.ExecCount);
-      NoSched += W * static_cast<double>(Rec.CostNoSched);
-      FullSched += W * static_cast<double>(Rec.CostSched);
-      bool Sched = Filter.predict(Rec.X) == Label::LS;
-      WithFilter +=
-          W * static_cast<double>(Sched ? Rec.CostSched : Rec.CostNoSched);
-    }
-    double Full = NoSched - FullSched;
-    Retention.push_back(Full > 0.0 ? (NoSched - WithFilter) / Full : 1.0);
+    RecordPricing P = priceOnRecords(Deploy.Runs[B].Records, Filter);
+    double Full = P.NoSchedTime - P.SchedTime;
+    Retention.push_back(
+        Full > 0.0 ? (P.NoSchedTime - P.FilteredTime) / Full : 1.0);
   }
   T.addRow({Train.ModelName, Deploy.ModelName,
             formatDouble(geometricMean(Errors), 2) + "%",

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -28,7 +28,8 @@ int main() {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 60;
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
+  ExperimentEngine Engine(1);
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
 
   Dataset Train("train");
   const BenchmarkRun *Target = nullptr;
@@ -40,7 +41,7 @@ int main() {
     Train.append(buildDataset(Runs[B].Records, /*ThresholdPct=*/0.0,
                               Runs[B].Name));
   }
-  RuleSet Rules = Ripper().train(Train);
+  RuleSet Rules = Ripper().train(Train, Engine.pool());
   std::cout << "filter trained on " << Train.size()
             << " blocks from the other benchmarks; " << Rules.size()
             << " rules\n\n";

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "filter/Pipeline.h"
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "sched/ScheduleVerifier.h"
 
@@ -46,13 +46,15 @@ int main() {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 12; // keep the quickstart fast
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
-  std::vector<Dataset> Labeled = labelSuite(Runs, /*ThresholdPct=*/0.0);
+  ExperimentEngine Engine(1);
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
+  std::vector<Dataset> Labeled =
+      Engine.labelSuite(Runs, /*ThresholdPct=*/0.0);
 
   Dataset Train("all");
   for (const Dataset &D : Labeled)
     Train.append(D);
-  RuleSet Filter = Ripper().train(Train);
+  RuleSet Filter = Ripper().train(Train, Engine.pool());
   std::cout << "induced filter (" << Filter.size() << " rules):\n"
             << Filter.toString() << '\n';
 

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Metrics.h"
 #include "ml/Ripper.h"
 #include "support/Statistics.h"
@@ -37,7 +37,8 @@ int main(int argc, char **argv) {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 60; // reduced for example runtime
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
+  ExperimentEngine Engine(1);
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
   size_t Blocks = 0;
   for (const BenchmarkRun &R : Runs)
     Blocks += R.Records.size();
@@ -46,7 +47,7 @@ int main(int argc, char **argv) {
 
   // Step 2: threshold labeling.
   std::cout << "== Step 2: labeling at t = " << Threshold << "% ==\n";
-  std::vector<Dataset> Labeled = labelSuite(Runs, Threshold);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
   Dataset All("all");
   for (const Dataset &D : Labeled)
     All.append(D);
@@ -58,12 +59,13 @@ int main(int argc, char **argv) {
 
   // Step 3: induce and inspect.
   std::cout << "== Step 3: RIPPER rule induction ==\n";
-  RuleSet Filter = Ripper().train(All);
+  RuleSet Filter = Ripper().train(All, Engine.pool());
   std::cout << Filter.toString() << '\n';
 
   // Step 4: honest evaluation -- leave-one-out by benchmark.
   std::cout << "== Step 4: leave-one-out cross-validation ==\n";
-  std::vector<LoocvFold> Folds = leaveOneOut(Labeled, ripperLearner());
+  std::vector<LoocvFold> Folds =
+      leaveOneOut(Labeled, ripperLearner(Engine.pool()), Engine.pool());
   std::vector<double> Errors;
   for (size_t B = 0; B != Folds.size(); ++B) {
     double Err = errorRatePercent(Folds[B].Filter, Labeled[B]);

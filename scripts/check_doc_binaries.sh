@@ -7,6 +7,10 @@
 # Usage: scripts/check_doc_binaries.sh BUILD_DIR DOC.md [DOC2.md ...]
 set -eu
 
+if [ "$#" -lt 2 ]; then
+  echo "error: usage: $0 BUILD_DIR DOC.md [DOC2.md ...]" >&2
+  exit 2
+fi
 build=$1
 shift
 

@@ -83,15 +83,13 @@ public:
   /// The borrowed artifact's version (0 for plain rule-set filters).
   uint32_t version() const { return Art->Version; }
 
-  /// Decision counters (since construction or resetStats()).
+  /// Decision counters since construction.
   uint64_t numScheduleDecisions() const { return NumLS; }
   uint64_t numSkipDecisions() const { return NumNS; }
 
   /// Deterministic cost of all decisions so far: feature-pass units plus
   /// rule conditions evaluated; comparable with scheduler work units.
   uint64_t workUnits() const { return Work; }
-
-  void resetStats() { NumLS = NumNS = Work = 0; }
 
 private:
   /// The one evaluation path every overload shares: gate, extract,

@@ -1,28 +1,25 @@
 //===- harness/Experiments.cpp - Paper experiment drivers -------------------===//
-//
-// The serial entry points are thin wrappers over a one-job
-// ExperimentEngine (harness/ParallelExperiments.h): one implementation,
-// one set of numbers, at any --jobs value.
-//
-//===----------------------------------------------------------------------===//
 
 #include "harness/Experiments.h"
 
-#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 
 using namespace schedfilter;
 
-std::vector<BenchmarkRun>
-schedfilter::generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
-                               const MachineModel &Model) {
-  return ExperimentEngine(1).generateSuiteData(Suite, Model);
-}
-
-std::vector<Dataset>
-schedfilter::labelSuite(const std::vector<BenchmarkRun> &Suite,
-                        double ThresholdPct) {
-  return ExperimentEngine(1).labelSuite(Suite, ThresholdPct);
+RecordPricing
+schedfilter::priceOnRecords(const std::vector<BlockRecord> &Records,
+                            const RuleSet &Filter) {
+  RecordPricing P;
+  for (const BlockRecord &Rec : Records) {
+    double W = static_cast<double>(Rec.ExecCount);
+    bool SchedIt = Filter.predict(Rec.X) == Label::LS;
+    ++(SchedIt ? P.NumLS : P.NumNS);
+    P.NoSchedTime += W * static_cast<double>(Rec.CostNoSched);
+    P.SchedTime += W * static_cast<double>(Rec.CostSched);
+    P.FilteredTime += W * static_cast<double>(SchedIt ? Rec.CostSched
+                                                      : Rec.CostNoSched);
+  }
+  return P;
 }
 
 double schedfilter::lsBenefitRetained(double AppTimeLN, double AppTimeLS) {
@@ -35,10 +32,6 @@ std::vector<double> schedfilter::paperThresholds() {
   for (int V = 0; V <= 50; V += 5)
     T.push_back(static_cast<double>(V));
   return T;
-}
-
-LearnerFn schedfilter::ripperLearner() {
-  return [](const Dataset &Train) { return Ripper().train(Train); };
 }
 
 LearnerFn schedfilter::ripperLearner(TaskPool &Pool) {

@@ -1,12 +1,13 @@
 //===- harness/Experiments.h - Paper experiment drivers ---------*- C++ -*-===//
 ///
 /// \file
-/// Drivers that reproduce the paper's evaluation: generate the benchmark
-/// suites, collect per-block raw records (features + simulated cost with
-/// and without list scheduling + profile weight), run leave-one-out
-/// cross-validated training at each threshold t, and package everything
-/// Tables 3-6 and Figures 1-3 need.  The bench/ binaries are thin wrappers
-/// over these functions.
+/// The data model of the paper's evaluation: one instrumented benchmark
+/// (program, per-block raw records of features + simulated cost with and
+/// without list scheduling + profile weight, fixed-policy reports), the
+/// per-threshold results Tables 3-6 and Figures 1-3 need, and the small
+/// pure helpers shared by every driver.  ExperimentEngine
+/// (harness/ParallelExperiments.h) is the one way to generate, label and
+/// evaluate a suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +39,9 @@ constexpr uint32_t TracePipelineVersion = 1;
 struct BenchmarkRun {
   std::string Name;
   /// Name of the MachineModel the records and reports were generated
-  /// under (set by generateSuiteData; a mistune noise source rewrites
-  /// it).  ExperimentEngine::runHeldOut recompiles each run under its
-  /// own model, so cross-model experiments stay consistent.
+  /// under (set by ExperimentEngine::generateSuiteData; a mistune noise
+  /// source rewrites it).  ExperimentEngine::runHeldOut recompiles each
+  /// run under its own model, so cross-model experiments stay consistent.
   std::string ModelName;
   Program Prog;
   std::vector<BlockRecord> Records;
@@ -49,18 +50,6 @@ struct BenchmarkRun {
 
   BenchmarkRun() : Prog("") {}
 };
-
-/// Generates programs for \p Suite, simulates every block unscheduled and
-/// list-scheduled (the instrumented-scheduler step of §2.2), and compiles
-/// each program under the NS and LS fixed policies.
-std::vector<BenchmarkRun>
-generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
-                  const MachineModel &Model);
-
-/// Labels every benchmark's records at threshold \p ThresholdPct (dropping
-/// the (0, t] noise band), one Dataset per benchmark, in suite order.
-std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
-                                double ThresholdPct);
 
 /// Everything measured at one threshold value, per benchmark (parallel
 /// arrays in suite order) plus suite-level aggregates.
@@ -100,17 +89,28 @@ struct ThresholdResult {
 /// keeps all of it: 1.0.
 double lsBenefitRetained(double AppTimeLN, double AppTimeLS);
 
+/// A filter priced on one benchmark's trace records: exec-weighted
+/// simulated time under NS, under LS and under the filter's decisions,
+/// each summed in record order, plus how many records the filter sends
+/// to LS and to NS.
+struct RecordPricing {
+  double NoSchedTime = 0.0;
+  double SchedTime = 0.0;
+  double FilteredTime = 0.0;
+  size_t NumLS = 0;
+  size_t NumNS = 0;
+};
+RecordPricing priceOnRecords(const std::vector<BlockRecord> &Records,
+                             const RuleSet &Filter);
+
 /// The paper's threshold grid: {0, 5, ..., 50}.
 std::vector<double> paperThresholds();
 
-/// Default learner used throughout: RIPPER with its stock options.
-LearnerFn ripperLearner();
-
-/// Pooled default learner: RIPPER with its stock options, fanning the
+/// The default learner: RIPPER with its stock options, fanning the
 /// per-feature candidate scans of each train() call across \p Pool.
-/// Bit-identical to ripperLearner() at any job count, and safe to hand to
-/// the pooled leaveOneOut overload on the same pool (nested parallelFor
-/// runs inline).  \p Pool must outlive the returned functor.
+/// Bit-identical at any job count, and safe to hand to leaveOneOut on the
+/// same pool (nested parallelFor runs inline).  \p Pool must outlive the
+/// returned functor.
 LearnerFn ripperLearner(TaskPool &Pool);
 
 } // namespace schedfilter

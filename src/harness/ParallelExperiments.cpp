@@ -57,19 +57,11 @@ PerBenchmarkEval evaluateBenchmark(const BenchmarkRun &Run,
 
   // Table 4 + Table 6: apply the filter to every block of the held-out
   // benchmark (no instances are dropped at run time).
-  double PredTime = 0.0, NoSchedTime = 0.0;
-  for (const BlockRecord &Rec : Run.Records) {
-    double W = static_cast<double>(Rec.ExecCount);
-    bool SchedIt = Filter.predict(Rec.X) == Label::LS;
-    if (SchedIt)
-      ++Out.RuntimeLS;
-    else
-      ++Out.RuntimeNS;
-    PredTime += W * static_cast<double>(SchedIt ? Rec.CostSched
-                                                : Rec.CostNoSched);
-    NoSchedTime += W * static_cast<double>(Rec.CostNoSched);
-  }
-  Out.PredictedTimePct = 100.0 * safeRatio(PredTime, NoSchedTime, 1.0);
+  RecordPricing Priced = priceOnRecords(Run.Records, Filter);
+  Out.RuntimeLS = Priced.NumLS;
+  Out.RuntimeNS = Priced.NumNS;
+  Out.PredictedTimePct =
+      100.0 * safeRatio(Priced.FilteredTime, Priced.NoSchedTime, 1.0);
 
   // Figures: recompile under the held-out filter and compare effort and
   // simulated application time against the fixed policies.

@@ -7,9 +7,7 @@
 /// streams.
 ///
 /// The determinism contract: every method returns bit-for-bit the same
-/// result at any job count, equal to the serial functions in
-/// Experiments.h/CrossValidation.h (which are thin wrappers over a
-/// one-job engine).  Three properties deliver it:
+/// result at any job count.  Three properties deliver it:
 ///   1. every task is a pure function of its own inputs -- workloads are
 ///      generated from per-benchmark seeds, learners seed their own Rng,
 ///      and any task-level randomness comes from Rng::fork(taskIndex);
@@ -60,12 +58,17 @@ public:
   /// counter the cache tests pin this guarantee with.
   uint64_t tracedBlocks() const { return TracedBlocks.load(); }
 
-  /// Parallel-by-benchmark counterpart of schedfilter::generateSuiteData.
+  /// Generates programs for \p Suite, simulates every block unscheduled
+  /// and list-scheduled (the instrumented-scheduler step of §2.2), and
+  /// compiles each program under the NS and LS fixed policies; parallel
+  /// by benchmark.
   std::vector<BenchmarkRun>
   generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
                     const MachineModel &Model);
 
-  /// Parallel-by-benchmark counterpart of schedfilter::labelSuite.
+  /// Labels every benchmark's records at threshold \p ThresholdPct
+  /// (dropping the (0, t] noise band), one Dataset per benchmark, in suite
+  /// order; parallel by benchmark.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct);
 
@@ -84,9 +87,9 @@ public:
   ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
                                double ThresholdPct, const LearnerFn &Learner);
 
-  /// Parallel counterpart of schedfilter::runThresholdSweep: thresholds
-  /// fan out across the pool; each threshold's inner layers run inline on
-  /// the worker that owns it (TaskPool nesting).
+  /// runThreshold at every value of \p Thresholds: thresholds fan out
+  /// across the pool; each threshold's inner layers run inline on the
+  /// worker that owns it (TaskPool nesting).
   std::vector<ThresholdResult>
   runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
                     const std::vector<double> &Thresholds,

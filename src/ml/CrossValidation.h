@@ -4,6 +4,7 @@
 /// The paper's evaluation methodology (§3): leave-one-out cross-validation
 /// *by benchmark program* — to evaluate on benchmark i, train on the
 /// instances of the other n-1 benchmarks, never on benchmark i's own.
+/// Both entries here fan their folds out on the caller's TaskPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,26 +31,23 @@ struct LoocvFold {
   RuleSet Filter;
 };
 
-/// Runs leave-one-out cross-validation: for each dataset i in
-/// \p PerBenchmark, trains \p Learner on the concatenation of all others
-/// and pairs the result with dataset i's name.  Order follows the input.
-std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
-                                   const LearnerFn &Learner);
-
-/// Parallel variant: trains the folds on \p Pool's workers.  Each fold is
-/// a pure function of its training set (learners seed their own Rng), so
-/// the result is bit-for-bit identical to the serial overload at any job
-/// count; fold order always follows the input.  \p Learner must be safe to
-/// invoke concurrently from multiple threads.  A learner that itself fans
-/// out on the same pool (e.g. ripperLearner(Pool)) is fine: nested
-/// parallelFor calls run inline on the worker that owns the fold.
+/// Runs leave-one-out cross-validation on \p Pool's workers: for each
+/// dataset i in \p PerBenchmark, trains \p Learner on the concatenation of
+/// all others and pairs the result with dataset i's name.  Each fold is a
+/// pure function of its training set (learners seed their own Rng), so the
+/// result is bit-for-bit identical at any job count; fold order always
+/// follows the input.  \p Learner must be safe to invoke concurrently from
+/// multiple threads.  A learner that itself fans out on the same pool
+/// (e.g. ripperLearner(Pool)) is fine: nested parallelFor calls run inline
+/// on the worker that owns the fold.
 std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
                                    const LearnerFn &Learner, TaskPool &Pool);
 
-/// Self-training upper bound discussed in the paper's footnote: train and
-/// name one fold per benchmark, trained on that benchmark itself.
+/// Self-training upper bound discussed in the paper's footnote: one fold
+/// per benchmark, trained on that benchmark itself, on \p Pool's workers
+/// with the same contract as leaveOneOut.
 std::vector<LoocvFold> selfTrain(const std::vector<Dataset> &PerBenchmark,
-                                 const LearnerFn &Learner);
+                                 const LearnerFn &Learner, TaskPool &Pool);
 
 } // namespace schedfilter
 

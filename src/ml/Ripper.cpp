@@ -25,10 +25,10 @@
 //    rule deletion) -- is an AND of cached masks.  Nothing outlives the
 //    train() call: each train is a pure function of its Dataset.
 //
-// Per-feature sweeps optionally fan out across a shared TaskPool; the
-// argmax is reduced in feature order with the exact strict-greater tie
-// policy of the serial sweep, so the induced RuleSet is bit-for-bit
-// identical at any job count and to the pre-index implementation
+// Per-feature sweeps fan out across the caller's TaskPool; the argmax is
+// reduced in feature order with the exact strict-greater tie policy of a
+// one-job sweep, so the induced RuleSet is bit-for-bit identical at any
+// job count and to the pre-index implementation
 // (tests/ripper_engine_test.cpp pins both; bench_train_scale tracks the
 // speedup in BENCH_train_scale.json).  A threshold is its value group's
 // entry in the rank table -- the value of the group's lowest-index
@@ -126,7 +126,7 @@ struct RankHistogram {
 struct Trainer {
   const RipperOptions &Opts;
   Label Target;
-  TaskPool *Pool; // may be null: run every feature loop inline
+  TaskPool &Pool;
   double CondSpaceBits; // log2(#possible conditions), for the theory DL
 
   // --- Immutable per-train() indexes. ---
@@ -168,7 +168,7 @@ struct Trainer {
   static constexpr size_t ParallelMinCovered = 2048;
 
   Trainer(const Dataset &Data, const RipperOptions &O, Label Tgt,
-          TaskPool *P)
+          TaskPool &P)
       : Opts(O), Target(Tgt), Pool(P), Cols(Data.columns()),
         NumInst(Cols.NumInstances), Words((NumInst + 63) / 64) {
     size_t N = NumInst;
@@ -222,15 +222,15 @@ struct Trainer {
         std::log2(std::max<double>(2.0, static_cast<double>(NumConds)));
   }
 
-  /// Runs \p Body(F) for every feature, on the pool when one is attached
-  /// and \p PerFeatureWork is large enough to pay for the fan-out.  Bodies
-  /// write only feature-owned state and the reduction happens at the call
-  /// site in feature order, so job count never changes results.
+  /// Runs \p Body(F) for every feature, on the pool when it has more than
+  /// one job and \p PerFeatureWork is large enough to pay for the fan-out.
+  /// Bodies write only feature-owned state and the reduction happens at
+  /// the call site in feature order, so job count never changes results.
   template <typename Fn>
   void forEachFeature(size_t PerFeatureWork, const Fn &Body) {
-    if (Pool && Pool->jobs() > 1 && PerFeatureWork >= ParallelMinCovered) {
-      Pool->parallelFor(NumFeatures,
-                        [&](size_t F) { Body(static_cast<unsigned>(F)); });
+    if (Pool.jobs() > 1 && PerFeatureWork >= ParallelMinCovered) {
+      Pool.parallelFor(NumFeatures,
+                       [&](size_t F) { Body(static_cast<unsigned>(F)); });
       return;
     }
     for (unsigned F = 0; F != NumFeatures; ++F)
@@ -702,8 +702,11 @@ struct Trainer {
   }
 };
 
-RuleSet trainImpl(const Dataset &Data, const RipperOptions &Opts,
-                  TaskPool *Pool) {
+} // namespace
+
+Ripper::Ripper(RipperOptions O) : Opts(O) {}
+
+RuleSet Ripper::train(const Dataset &Data, TaskPool &Pool) const {
   size_t NumLS = Data.countLabel(Label::LS);
   size_t NumNS = Data.size() - NumLS;
 
@@ -735,16 +738,4 @@ RuleSet trainImpl(const Dataset &Data, const RipperOptions &Opts,
   size_t DC, DI;
   RS.annotateCoverage(Data, DC, DI);
   return RS;
-}
-
-} // namespace
-
-Ripper::Ripper(RipperOptions O) : Opts(O) {}
-
-RuleSet Ripper::train(const Dataset &Data) const {
-  return trainImpl(Data, Opts, nullptr);
-}
-
-RuleSet Ripper::train(const Dataset &Data, TaskPool &Pool) const {
-  return trainImpl(Data, Opts, &Pool);
 }

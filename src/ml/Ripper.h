@@ -30,9 +30,8 @@
 /// covered set, and computes rule coverage as ANDs of condition masks
 /// cached for the rest of the call -- instead of re-sorting every feature
 /// column for every candidate condition.  Nothing is kept between calls.
-/// The pooled overload fans the per-feature sweeps across a shared
-/// TaskPool; output is bit-for-bit identical to the serial overload at
-/// any job count.
+/// The per-feature sweeps fan out across the caller's TaskPool; output is
+/// bit-for-bit identical at any job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,13 +70,7 @@ public:
   /// set has per-rule coverage counts annotated against \p Data (Figure 4
   /// style).  An empty or single-class dataset yields an empty rule set
   /// whose default class is the majority (or NS when empty).
-  RuleSet train(const Dataset &Data) const;
-
-  /// Pooled variant: fans the per-feature candidate-condition sweeps of
-  /// the grow phase out across \p Pool's workers, with a deterministic
-  /// argmax reduction (lowest feature index wins ties).  Bit-for-bit the
-  /// same RuleSet as the serial overload at any job count; safe to call
-  /// from inside a pool task (nested loops run inline).
+  /// Safe to call from inside a \p Pool task (nested loops run inline).
   RuleSet train(const Dataset &Data, TaskPool &Pool) const;
 
 private:

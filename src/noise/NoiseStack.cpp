@@ -41,11 +41,6 @@ void NoiseStack::perturbRun(BenchmarkRun &Run, size_t RunIndex) const {
     Sources[S]->perturb(Run, laneStream(S, LanePerturb).fork(RunIndex));
 }
 
-void NoiseStack::perturbSuite(std::vector<BenchmarkRun> &Suite) const {
-  for (size_t B = 0; B != Suite.size(); ++B)
-    perturbRun(Suite[B], B);
-}
-
 void NoiseStack::perturbSuite(std::vector<BenchmarkRun> &Suite,
                               TaskPool &Pool) const {
   if (Sources.empty())

@@ -64,9 +64,8 @@ public:
   /// reproduces the serial result bit for bit.
   void perturbRun(BenchmarkRun &Run, size_t RunIndex) const;
 
-  /// perturbRun over a whole suite; with \p Pool, parallel by run with
-  /// identical results.
-  void perturbSuite(std::vector<BenchmarkRun> &Suite) const;
+  /// perturbRun over a whole suite, parallel by run over \p Pool with
+  /// results identical at any job count.
   void perturbSuite(std::vector<BenchmarkRun> &Suite, TaskPool &Pool) const;
 
   /// The Labeler boundary: labels \p Run's records at \p ThresholdPct

@@ -47,7 +47,7 @@ RobustnessPoint schedfilter::runRobustnessPoint(ExperimentEngine &Engine,
   Stack.perturbSuite(Suite, Engine.pool());
   ThresholdResult R = Engine.runHeldOut(
       Suite, Stack.labelSuite(Suite, ThresholdPct, Engine.pool()),
-      ThresholdPct, ripperLearner());
+      ThresholdPct, ripperLearner(Engine.pool()));
 
   RobustnessPoint P;
   P.Stack = Stack.describe();

@@ -41,18 +41,6 @@ private:
   int64_t TotalNs = 0;
 };
 
-/// RAII guard that accumulates into a timer for the current scope.
-class TimerScope {
-public:
-  explicit TimerScope(AccumulatingTimer &T) : Timer(T) { Timer.start(); }
-  ~TimerScope() { Timer.stop(); }
-  TimerScope(const TimerScope &) = delete;
-  TimerScope &operator=(const TimerScope &) = delete;
-
-private:
-  AccumulatingTimer &Timer;
-};
-
 } // namespace schedfilter
 
 #endif // SCHEDFILTER_SUPPORT_TIMER_H

@@ -85,12 +85,6 @@ public:
     return Latency[static_cast<size_t>(Op)];
   }
 
-  /// Overrides the latency of \p Op, e.g. to model a different cache
-  /// assumption in an experiment.
-  void setLatency(Opcode Op, unsigned Cycles) {
-    Latency[static_cast<size_t>(Op)] = Cycles;
-  }
-
   /// True if a new instruction may start on \p Op's unit the cycle after
   /// \p Op issues; false for blocking ops (div, fdiv, fsqrt) that occupy
   /// their unit until completion.

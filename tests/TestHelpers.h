@@ -1,8 +1,8 @@
 //===- tests/TestHelpers.h - Shared fixtures for the test suite -*- C++ -*-===//
 ///
 /// \file
-/// Block builders, shrunken benchmark suites, serial threshold
-/// experiments and one-app serving shared across test files.
+/// Block builders, shrunken benchmark suites, a one-job pool, one-job
+/// threshold experiments and one-app serving shared across test files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +78,14 @@ shrinkSuite(std::vector<BenchmarkSpec> Suite, int NumMethods = 10) {
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = NumMethods;
   return Suite;
+}
+
+/// A one-job pool (it spawns no threads) for tests that train outside an
+/// ExperimentEngine.  Its inline loops keep no state, so concurrent
+/// callers may share it.
+inline TaskPool &serialPool() {
+  static TaskPool Pool(1);
+  return Pool;
 }
 
 /// A one-job engine's threshold experiment over a hand-built suite.

@@ -10,7 +10,7 @@
 
 #include "analysis/RuleAnalysis.h"
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Serialization.h"
 #include "support/Rng.h"
 
@@ -487,13 +487,14 @@ TEST(Golden, TrainedFilterLintStableAtZero) {
   // only strip redundant conditions) must be proven predict()-equivalent
   // on the exhaustive corner grid.
   MachineModel Model = MachineModel::ppc7410();
+  ExperimentEngine Engine(1);
   std::vector<BenchmarkRun> Suite =
-      generateSuiteData(specjvm98Suite(), Model);
-  std::vector<Dataset> Labeled = labelSuite(Suite, 0.0);
+      Engine.generateSuiteData(specjvm98Suite(), Model);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
   Dataset Train("minus-jack");
   for (size_t I = 0; I + 1 < Labeled.size(); ++I)
     Train.append(Labeled[I]);
-  RuleSet Filter = ripperLearner()(Train);
+  RuleSet Filter = ripperLearner(Engine.pool())(Train);
 
   RuleAnalysis A = analyzeRuleSet(Filter, &Train);
   EXPECT_EQ(A.numFindings(LintSeverity::Error), 0u);
@@ -519,7 +520,7 @@ TEST(Golden, TrainedFilterLintStableAtZero) {
 
   // And per-benchmark self-trained filters are clean too.
   for (const Dataset &D : Labeled) {
-    RuleSet Own = ripperLearner()(D);
+    RuleSet Own = ripperLearner(Engine.pool())(D);
     RuleAnalysis OwnA = analyzeRuleSet(Own, &D);
     EXPECT_EQ(OwnA.numFindings(LintSeverity::Error), 0u) << D.getName();
     EXPECT_EQ(OwnA.removedRules(), 0u) << D.getName();

@@ -88,7 +88,7 @@ struct PinnedCorpus {
 PinnedCorpus pinnedCorpus() {
   BenchmarkSpec Spec = shrinkSuite({*findBenchmarkSpec("db")}, 4)[0];
   MachineModel Model = MachineModel::ppc7410();
-  BenchmarkRun Traced = generateSuiteData({Spec}, Model)[0];
+  BenchmarkRun Traced = ExperimentEngine(1).generateSuiteData({Spec}, Model)[0];
   PinnedCorpus C;
   C.Key = {Spec.Name,          Model.getName(),
            workloadGeneratorVersion(Spec), TracePipelineVersion,

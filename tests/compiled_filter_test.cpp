@@ -374,7 +374,7 @@ TEST(Golden, CompiledFilterEquivalentForTrainedFilters) {
   std::vector<RuleSet> Filters;
   Filters.push_back(Ripper().train(Pooled, Engine.pool()));
   for (const LoocvFold &F :
-       leaveOneOut(Labeled, ripperLearner(), Engine.pool()))
+       leaveOneOut(Labeled, ripperLearner(Engine.pool()), Engine.pool()))
     Filters.push_back(F.Filter);
 
   std::vector<FeatureVector> Rows;
@@ -395,8 +395,10 @@ TEST(Golden, ServeStatsByteIdenticalAcrossEvaluators) {
   // and the one-app serve itself is byte-identical at jobs 1 and 4.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
-  std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
-  RuleSet Rules = ripperLearner()(labelSuite(Runs, 0.0)[0]);
+  ExperimentEngine Engine(1);
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData({Spec}, Model);
+  RuleSet Rules =
+      ripperLearner(Engine.pool())(Engine.labelSuite(Runs, 0.0)[0]);
   expectFilterMatchesReference(Rules, blocksOf(Runs[0].Prog));
 
   ServiceConfig Cfg;

@@ -306,8 +306,10 @@ TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {
 
   // The warm runs still carry a usable Program (it is regenerated, not
   // cached): downstream recompilation must agree with the cold path.
-  ThresholdResult A = Warm.runThreshold(WarmRuns, 0.0, ripperLearner());
-  ThresholdResult B = Cold.runThreshold(ColdRuns, 0.0, ripperLearner());
+  ThresholdResult A =
+      Warm.runThreshold(WarmRuns, 0.0, ripperLearner(Warm.pool()));
+  ThresholdResult B =
+      Cold.runThreshold(ColdRuns, 0.0, ripperLearner(Cold.pool()));
   EXPECT_EQ(A.TrainLS, B.TrainLS);
   EXPECT_EQ(A.TrainNS, B.TrainNS);
   EXPECT_EQ(A.ErrorPct, B.ErrorPct);
@@ -373,6 +375,7 @@ TEST(CorpusCache, UnwritableDirectoryDegradesToTracing) {
   EXPECT_EQ(St.Stores, 0u);
 
   // Uncached reference must agree on every deterministic field.
-  std::vector<BenchmarkRun> Ref = generateSuiteData(Suite, Model);
+  std::vector<BenchmarkRun> Ref =
+      ExperimentEngine(1).generateSuiteData(Suite, Model);
   expectRunsIdentical(Ref, Runs, /*CompareWallTime=*/false);
 }

@@ -2,9 +2,14 @@
 
 #include "ml/CrossValidation.h"
 
+#include "ml/Ripper.h"
+#include "support/Rng.h"
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -21,12 +26,30 @@ Dataset named(const std::string &Name, size_t N) {
   return D;
 }
 
+/// A benchmark whose blocks are scheduled (LS) when longer than a
+/// per-seed cutoff, with 10% of the labels flipped.
+Dataset learnable(const std::string &Name, uint64_t Seed, size_t N) {
+  Rng R(Seed);
+  double Cutoff = R.uniform(10.0, 30.0);
+  Dataset D(Name);
+  for (size_t I = 0; I != N; ++I) {
+    FeatureVector X{};
+    for (double &V : X)
+      V = R.uniform();
+    X[FeatBBLen] = static_cast<double>(R.range(1, 40));
+    bool Long = X[FeatBBLen] > Cutoff;
+    D.add({X, Long != R.chance(0.1) ? Label::LS : Label::NS});
+  }
+  return D;
+}
+
 } // namespace
 
 TEST(CrossValidation, OneFoldPerBenchmark) {
   std::vector<Dataset> Suite = {named("a", 3), named("b", 4), named("c", 5)};
-  std::vector<LoocvFold> Folds =
-      leaveOneOut(Suite, [](const Dataset &) { return RuleSet(Label::NS); });
+  std::vector<LoocvFold> Folds = leaveOneOut(
+      Suite, [](const Dataset &) { return RuleSet(Label::NS); },
+      serialPool());
   ASSERT_EQ(Folds.size(), 3u);
   EXPECT_EQ(Folds[0].HeldOut, "a");
   EXPECT_EQ(Folds[1].HeldOut, "b");
@@ -39,7 +62,7 @@ TEST(CrossValidation, TrainsOnExactlyTheOthers) {
   leaveOneOut(Suite, [&](const Dataset &Train) {
     TrainSizes.push_back(Train.size());
     return RuleSet(Label::NS);
-  });
+  }, serialPool());
   // Fold i trains on total minus the held-out benchmark.
   EXPECT_EQ(TrainSizes, (std::vector<size_t>{9, 8, 7}));
 }
@@ -63,7 +86,7 @@ TEST(CrossValidation, NeverTrainsOnHeldOutInstances) {
     }
     ++Fold;
     return RuleSet(Label::NS);
-  });
+  }, serialPool());
   EXPECT_EQ(Fold, 3u);
 }
 
@@ -73,7 +96,7 @@ TEST(CrossValidation, SelfTrainUsesOwnDataOnly) {
   selfTrain(Suite, [&](const Dataset &Train) {
     TrainSizes.push_back(Train.size());
     return RuleSet(Label::NS);
-  });
+  }, serialPool());
   EXPECT_EQ(TrainSizes, (std::vector<size_t>{3, 7}));
 }
 
@@ -83,12 +106,35 @@ TEST(CrossValidation, SingleBenchmarkTrainsOnNothing) {
       leaveOneOut(Suite, [](const Dataset &Train) {
         EXPECT_EQ(Train.size(), 0u);
         return RuleSet(Label::NS);
-      });
+      }, serialPool());
   EXPECT_EQ(Folds.size(), 1u);
 }
 
 TEST(CrossValidation, EmptySuite) {
-  EXPECT_TRUE(
-      leaveOneOut({}, [](const Dataset &) { return RuleSet(Label::NS); })
-          .empty());
+  EXPECT_TRUE(leaveOneOut(
+                  {}, [](const Dataset &) { return RuleSet(Label::NS); },
+                  serialPool())
+                  .empty());
+}
+
+TEST(CrossValidation, SelfTrainIdenticalAtAnyJobCount) {
+  // Self-training fans out by benchmark: at one job and at four, each
+  // fold is its own benchmark's RIPPER filter, bit for bit.
+  std::vector<Dataset> Suite;
+  for (uint64_t B = 0; B != 5; ++B)
+    Suite.push_back(learnable("bench" + std::to_string(B), 100 + B, 400));
+  TaskPool OneJob(1), FourJobs(4);
+  std::vector<LoocvFold> A = selfTrain(Suite, ripperLearner(OneJob), OneJob);
+  std::vector<LoocvFold> B =
+      selfTrain(Suite, ripperLearner(FourJobs), FourJobs);
+  ASSERT_EQ(A.size(), Suite.size());
+  ASSERT_EQ(B.size(), Suite.size());
+  for (size_t I = 0; I != Suite.size(); ++I) {
+    EXPECT_EQ(A[I].HeldOut, Suite[I].getName());
+    EXPECT_EQ(B[I].HeldOut, Suite[I].getName());
+    EXPECT_GT(A[I].Filter.size(), 0u) << Suite[I].getName();
+    EXPECT_EQ(A[I].Filter.toString(), B[I].Filter.toString());
+    EXPECT_EQ(A[I].Filter.toString(),
+              Ripper().train(Suite[I], OneJob).toString());
+  }
 }

@@ -95,8 +95,10 @@ TEST(Determinism, EndToEndThresholdRunIdenticalAcrossJobCounts) {
   std::vector<BenchmarkRun> RunsA = Serial.generateSuiteData(Suite, Model);
   std::vector<BenchmarkRun> RunsB = Parallel.generateSuiteData(Suite, Model);
 
-  ThresholdResult A = Serial.runThreshold(RunsA, 0.0, ripperLearner());
-  ThresholdResult B = Parallel.runThreshold(RunsB, 0.0, ripperLearner());
+  ThresholdResult A =
+      Serial.runThreshold(RunsA, 0.0, ripperLearner(Serial.pool()));
+  ThresholdResult B =
+      Parallel.runThreshold(RunsB, 0.0, ripperLearner(Parallel.pool()));
   expectIdenticalThresholdResults(A, B);
 }
 
@@ -109,10 +111,11 @@ TEST(Determinism, SweepIdenticalAcrossJobCountsAndMatchesSerialApi) {
   std::vector<double> Thresholds = {0.0, 20.0, 50.0};
 
   // A one-job engine is the serial reference.
-  std::vector<ThresholdResult> Serial =
-      ExperimentEngine(1).runThresholdSweep(Runs, Thresholds, ripperLearner());
-  std::vector<ThresholdResult> Threaded =
-      Parallel.runThresholdSweep(Runs, Thresholds, ripperLearner());
+  ExperimentEngine OneJob(1);
+  std::vector<ThresholdResult> Serial = OneJob.runThresholdSweep(
+      Runs, Thresholds, ripperLearner(OneJob.pool()));
+  std::vector<ThresholdResult> Threaded = Parallel.runThresholdSweep(
+      Runs, Thresholds, ripperLearner(Parallel.pool()));
 
   ASSERT_EQ(Serial.size(), Threaded.size());
   for (size_t I = 0; I != Serial.size(); ++I)
@@ -126,9 +129,13 @@ TEST(Determinism, LoocvFoldsIdenticalAcrossJobCounts) {
   std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Runs, 0.0);
 
-  std::vector<LoocvFold> Serial = leaveOneOut(Labeled, ripperLearner());
+  // The one LOOCV entry, its folds and their feature sweeps on one job
+  // and on four.
+  TaskPool OneJob(1);
+  std::vector<LoocvFold> Serial =
+      leaveOneOut(Labeled, ripperLearner(OneJob), OneJob);
   std::vector<LoocvFold> Parallel =
-      leaveOneOut(Labeled, ripperLearner(), Engine.pool());
+      leaveOneOut(Labeled, ripperLearner(Engine.pool()), Engine.pool());
   ASSERT_EQ(Serial.size(), Parallel.size());
   for (size_t I = 0; I != Serial.size(); ++I) {
     EXPECT_EQ(Serial[I].HeldOut, Parallel[I].HeldOut);

@@ -29,7 +29,7 @@ namespace {
 const std::vector<BenchmarkRun> &fullSuite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(specjvm98Suite(), Model);
+    return ExperimentEngine(1).generateSuiteData(specjvm98Suite(), Model);
   }();
   return Suite;
 }
@@ -48,7 +48,7 @@ TEST(Golden, SuitePopulation) {
 }
 
 TEST(Golden, Table5TrainingSetSizes) {
-  std::vector<Dataset> At0 = labelSuite(fullSuite(), 0.0);
+  std::vector<Dataset> At0 = ExperimentEngine(1).labelSuite(fullSuite(), 0.0);
   size_t LS = 0, NS = 0;
   for (const Dataset &D : At0) {
     LS += D.countLabel(Label::LS);
@@ -60,14 +60,16 @@ TEST(Golden, Table5TrainingSetSizes) {
 }
 
 TEST(Golden, Table3ErrorGeomeanAtZero) {
-  ThresholdResult R = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(fullSuite(), 0.0, ripperLearner(serialPool()));
   // Paper: 7.86.  Pinned with a tolerance that still catches regressions
   // an order of magnitude smaller than the paper-vs-us gap.
   EXPECT_NEAR(geometricMean(R.ErrorPct), 7.78, 0.75);
 }
 
 TEST(Golden, HeadlineFrontierAtZero) {
-  ThresholdResult R = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(fullSuite(), 0.0, ripperLearner(serialPool()));
   double LS = geometricMean(R.AppRatioLS);
   double LN = geometricMean(R.AppRatioLN);
   double Retention = (1.0 - LN) / (1.0 - LS);
@@ -85,7 +87,8 @@ TEST(Golden, HeadlineNumbersIdenticalAtJobsFour) {
   ExperimentEngine Engine(4);
   std::vector<BenchmarkRun> Suite =
       Engine.generateSuiteData(specjvm98Suite(), Model);
-  ThresholdResult R = Engine.runThreshold(Suite, 0.0, ripperLearner());
+  ThresholdResult R =
+      Engine.runThreshold(Suite, 0.0, ripperLearner(Engine.pool()));
 
   // Table 5 at t = 0.
   EXPECT_EQ(R.TrainLS, 1673u);
@@ -98,7 +101,8 @@ TEST(Golden, HeadlineNumbersIdenticalAtJobsFour) {
 
   // Bit-for-bit agreement with the serial path on every deterministic
   // output (wall-clock fields excluded by construction).
-  ThresholdResult S = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult S =
+      runThreshold(fullSuite(), 0.0, ripperLearner(serialPool()));
   EXPECT_EQ(R.ErrorPct, S.ErrorPct);
   EXPECT_EQ(R.PredictedTimePct, S.PredictedTimePct);
   EXPECT_EQ(R.EffortRatioWork, S.EffortRatioWork);
@@ -120,7 +124,7 @@ TEST(Golden, Table5IdenticalFromEveryArtifactSource) {
 
   auto CountAt0 = [](const std::vector<BenchmarkRun> &Runs) {
     std::pair<size_t, size_t> C{0, 0};
-    for (const Dataset &D : labelSuite(Runs, 0.0)) {
+    for (const Dataset &D : ExperimentEngine(1).labelSuite(Runs, 0.0)) {
       C.first += D.countLabel(Label::LS);
       C.second += D.countLabel(Label::NS);
     }
@@ -199,8 +203,10 @@ TEST(Golden, ServeRecoupedHeadline) {
   // learner-dependent goldens.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
-  std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
-  RuleSet Rules = ripperLearner()(labelSuite(Runs, 0.0)[0]);
+  ExperimentEngine Engine(1);
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData({Spec}, Model);
+  RuleSet Rules =
+      ripperLearner(Engine.pool())(Engine.labelSuite(Runs, 0.0)[0]);
 
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
@@ -225,7 +231,8 @@ TEST(Golden, ServeRecoupedHeadline) {
 }
 
 TEST(Golden, EffortCollapsesAtHighThreshold) {
-  ThresholdResult R = runThreshold(fullSuite(), 50.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(fullSuite(), 50.0, ripperLearner(serialPool()));
   EXPECT_LT(geometricMean(R.EffortRatioWork), 0.15);
   EXPECT_LT(R.RuntimeLS, 400u);
 }
@@ -233,11 +240,12 @@ TEST(Golden, EffortCollapsesAtHighThreshold) {
 TEST(Golden, Figure4ShapeStable) {
   // Train on all-but-jack at t = 0 (the Figure 4 setting) and pin the
   // structural properties EXPERIMENTS.md describes.
-  std::vector<Dataset> Labeled = labelSuite(fullSuite(), 0.0);
+  std::vector<Dataset> Labeled =
+      ExperimentEngine(1).labelSuite(fullSuite(), 0.0);
   Dataset Train("minus-jack");
   for (size_t I = 0; I + 1 < Labeled.size(); ++I)
     Train.append(Labeled[I]);
-  RuleSet Filter = ripperLearner()(Train);
+  RuleSet Filter = ripperLearner(serialPool())(Train);
   ASSERT_GE(Filter.size(), 5u);
   ASSERT_LE(Filter.size(), 24u);
   EXPECT_EQ(Filter.getDefaultClass(), Label::NS);

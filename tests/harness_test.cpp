@@ -20,7 +20,8 @@ namespace {
 const std::vector<BenchmarkRun> &tinySuite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(shrinkSuite(specjvm98Suite(), 6), Model);
+    return ExperimentEngine(1).generateSuiteData(
+        shrinkSuite(specjvm98Suite(), 6), Model);
   }();
   return Suite;
 }
@@ -56,8 +57,8 @@ TEST(Experiments, RecordsMatchPolicyReports) {
 
 TEST(Experiments, LabelSuiteNamesAndNsInvariance) {
   const std::vector<BenchmarkRun> &Suite = tinySuite();
-  std::vector<Dataset> At0 = labelSuite(Suite, 0.0);
-  std::vector<Dataset> At30 = labelSuite(Suite, 30.0);
+  std::vector<Dataset> At0 = ExperimentEngine(1).labelSuite(Suite, 0.0);
+  std::vector<Dataset> At30 = ExperimentEngine(1).labelSuite(Suite, 30.0);
   ASSERT_EQ(At0.size(), Suite.size());
   for (size_t I = 0; I != Suite.size(); ++I) {
     EXPECT_EQ(At0[I].getName(), Suite[I].Name);
@@ -77,7 +78,8 @@ TEST(Experiments, PaperThresholdGrid) {
 }
 
 TEST(Experiments, RunThresholdFieldShapes) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(tinySuite(), 0.0, ripperLearner(serialPool()));
   EXPECT_EQ(R.Names.size(), 7u);
   EXPECT_EQ(R.ErrorPct.size(), 7u);
   EXPECT_EQ(R.PredictedTimePct.size(), 7u);
@@ -92,7 +94,8 @@ TEST(Experiments, RunThresholdFieldShapes) {
 }
 
 TEST(Experiments, RunThresholdValueRanges) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(tinySuite(), 0.0, ripperLearner(serialPool()));
   for (size_t I = 0; I != R.Names.size(); ++I) {
     EXPECT_GE(R.ErrorPct[I], 0.0);
     EXPECT_LE(R.ErrorPct[I], 100.0);
@@ -123,7 +126,7 @@ TEST(Experiments, RetentionIsWholeWhenLsGivesNoBenefit) {
 
 TEST(Experiments, SweepCoversAllThresholds) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 25.0}, ripperLearner());
+      runThresholdSweep(tinySuite(), {0.0, 25.0}, ripperLearner(serialPool()));
   ASSERT_EQ(Sweep.size(), 2u);
   EXPECT_EQ(Sweep[0].ThresholdPct, 0.0);
   EXPECT_EQ(Sweep[1].ThresholdPct, 25.0);
@@ -134,7 +137,7 @@ TEST(Experiments, SweepCoversAllThresholds) {
 
 TEST(TableRender, Table3RowsAndHeader) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
+      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner(serialPool()));
   std::ostringstream OS;
   renderTable3(Sweep, OS);
   std::string Out = OS.str();
@@ -148,7 +151,7 @@ TEST(TableRender, Table3RowsAndHeader) {
 
 TEST(TableRender, Table4PercentOfUnscheduled) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
+      runThresholdSweep(tinySuite(), {0.0}, ripperLearner(serialPool()));
   std::ostringstream OS;
   renderTable4(Sweep, OS);
   EXPECT_NE(OS.str().find("percent of unscheduled"), std::string::npos);
@@ -156,7 +159,7 @@ TEST(TableRender, Table4PercentOfUnscheduled) {
 
 TEST(TableRender, Table5And6RowLayout) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
+      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner(serialPool()));
   std::ostringstream OS5, OS6;
   renderTable5(Sweep, OS5);
   renderTable6(Sweep, OS6);
@@ -168,7 +171,7 @@ TEST(TableRender, Table5And6RowLayout) {
 
 TEST(TableRender, FiguresAndHeadline) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
+      runThresholdSweep(tinySuite(), {0.0}, ripperLearner(serialPool()));
   std::ostringstream OS;
   renderEffortFigure(Sweep, false, OS);
   renderEffortFigure(Sweep, true, OS);
@@ -182,7 +185,8 @@ TEST(TableRender, FiguresAndHeadline) {
 }
 
 TEST(TableRender, InducedFilterPrintout) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R =
+      runThreshold(tinySuite(), 0.0, ripperLearner(serialPool()));
   std::ostringstream OS;
   renderInducedFilter(R.Filters[0], OS);
   EXPECT_NE(OS.str().find("(default) orig"), std::string::npos);

@@ -25,14 +25,15 @@ namespace {
 const std::vector<BenchmarkRun> &suite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(shrinkSuite(specjvm98Suite(), 30), Model);
+    return ExperimentEngine(1).generateSuiteData(
+        shrinkSuite(specjvm98Suite(), 30), Model);
   }();
   return Suite;
 }
 
 const ThresholdResult &atZero() {
   static const ThresholdResult R =
-      runThreshold(suite(), 0.0, ripperLearner());
+      runThreshold(suite(), 0.0, ripperLearner(serialPool()));
   return R;
 }
 
@@ -70,8 +71,8 @@ TEST(Reproduction, CrossValidatedErrorIsSingleDigit) {
 
 TEST(Reproduction, ErrorFallsAsThresholdRises) {
   double E0 = geometricMean(atZero().ErrorPct);
-  double E40 =
-      geometricMean(runThreshold(suite(), 40.0, ripperLearner()).ErrorPct);
+  double E40 = geometricMean(
+      runThreshold(suite(), 40.0, ripperLearner(serialPool())).ErrorPct);
   EXPECT_LT(E40, E0 * 0.5);
 }
 
@@ -84,8 +85,8 @@ TEST(Reproduction, FilterCutsSchedulingEffort) {
 
 TEST(Reproduction, EffortFallsMonotonicallyWithThreshold) {
   // Figure 2(a): geometric-mean effort declines as t grows.
-  std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(suite(), {0.0, 20.0, 40.0}, ripperLearner());
+  std::vector<ThresholdResult> Sweep = runThresholdSweep(
+      suite(), {0.0, 20.0, 40.0}, ripperLearner(serialPool()));
   double E0 = geometricMean(Sweep[0].EffortRatioWork);
   double E20 = geometricMean(Sweep[1].EffortRatioWork);
   double E40 = geometricMean(Sweep[2].EffortRatioWork);
@@ -112,7 +113,7 @@ TEST(Reproduction, FilteredNeverWorseThanNeverScheduling) {
 TEST(Reproduction, PredictedTimesImproveAtAllThresholds) {
   // Table 4: "the model predicts improvements at all thresholds."
   for (double T : {0.0, 20.0, 50.0}) {
-    ThresholdResult R = runThreshold(suite(), T, ripperLearner());
+    ThresholdResult R = runThreshold(suite(), T, ripperLearner(serialPool()));
     EXPECT_LE(geometricMean(R.PredictedTimePct), 100.0) << "t=" << T;
   }
 }
@@ -124,7 +125,8 @@ TEST(Reproduction, RuntimeLsSharePlausible) {
   double Share0 = static_cast<double>(R0.RuntimeLS) /
                   static_cast<double>(R0.RuntimeLS + R0.RuntimeNS);
   EXPECT_LT(Share0, 0.45);
-  ThresholdResult R30 = runThreshold(suite(), 30.0, ripperLearner());
+  ThresholdResult R30 =
+      runThreshold(suite(), 30.0, ripperLearner(serialPool()));
   EXPECT_LT(R30.RuntimeLS, R0.RuntimeLS);
 }
 
@@ -157,8 +159,8 @@ TEST(Reproduction, FpSuitePreservesLargeBenefit) {
   // nearly all of a large benefit.
   MachineModel Model = MachineModel::ppc7410();
   std::vector<BenchmarkRun> Fp =
-      generateSuiteData(shrinkSuite(fpSuite(), 25), Model);
-  ThresholdResult R = runThreshold(Fp, 0.0, ripperLearner());
+      ExperimentEngine(1).generateSuiteData(shrinkSuite(fpSuite(), 25), Model);
+  ThresholdResult R = runThreshold(Fp, 0.0, ripperLearner(serialPool()));
   double LS = geometricMean(R.AppRatioLS);
   double LN = geometricMean(R.AppRatioLN);
   EXPECT_LT(LS, 0.90) << "FP suite must benefit a lot from scheduling";
@@ -168,8 +170,8 @@ TEST(Reproduction, FpSuitePreservesLargeBenefit) {
 TEST(Reproduction, HeadlineEffortBenefitTradeoffExists) {
   // The abstract: most of the benefit at a fraction of the effort.  Find
   // any threshold achieving >=75% retention at <=55% effort.
-  std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(suite(), {0.0, 10.0, 20.0}, ripperLearner());
+  std::vector<ThresholdResult> Sweep = runThresholdSweep(
+      suite(), {0.0, 10.0, 20.0}, ripperLearner(serialPool()));
   bool Achieved = false;
   for (const ThresholdResult &R : Sweep) {
     double LS = geometricMean(R.AppRatioLS);

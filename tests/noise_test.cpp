@@ -21,6 +21,7 @@
 #include <cmath>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -159,7 +160,6 @@ TEST(NoiseStackTest, EmptyStackIsIdentity) {
   NoiseStack S = parseOrDie("", 99);
 
   TaskPool Pool(4);
-  S.perturbSuite(Suite);
   S.perturbSuite(Suite, Pool);
   EXPECT_TRUE(sameSuiteRecords(Suite, Orig));
 
@@ -175,26 +175,24 @@ TEST(NoiseStackTest, EmptyStackIsIdentity) {
 }
 
 TEST(NoiseStackTest, PerturbationIdenticalAtAnyJobCount) {
-  // The acceptance contract, per source and composed: serial, jobs=1 and
-  // jobs=4 perturbation of the same suite agree on every record bit.
+  // The acceptance contract, per source and composed: jobs=1 and jobs=4
+  // perturbation of the same suite agree on every record bit.
   for (const char *Spec :
        {"jitter:0.3", "spikes:0.2", "labelflip:0.5",
         "jitter:0.3,spikes:0.2,labelflip:0.5"}) {
-    std::vector<BenchmarkRun> Serial = syntheticSuite(6, 120);
-    std::vector<BenchmarkRun> Jobs1 = Serial, Jobs4 = Serial;
+    std::vector<BenchmarkRun> Jobs1 = syntheticSuite(6, 120);
+    std::vector<BenchmarkRun> Jobs4 = Jobs1;
     NoiseStack S = parseOrDie(Spec, 42);
 
-    S.perturbSuite(Serial);
     TaskPool P1(1), P4(4);
     S.perturbSuite(Jobs1, P1);
     S.perturbSuite(Jobs4, P4);
-    EXPECT_TRUE(sameSuiteRecords(Serial, Jobs1)) << Spec;
-    EXPECT_TRUE(sameSuiteRecords(Serial, Jobs4)) << Spec;
+    EXPECT_TRUE(sameSuiteRecords(Jobs1, Jobs4)) << Spec;
 
     // Label lanes too: parallel labelSuite equals per-run labelRun.
-    std::vector<Dataset> L4 = S.labelSuite(Serial, 0.0, P4);
-    for (size_t B = 0; B != Serial.size(); ++B) {
-      Dataset One = S.labelRun(Serial[B], B, 0.0);
+    std::vector<Dataset> L4 = S.labelSuite(Jobs1, 0.0, P4);
+    for (size_t B = 0; B != Jobs1.size(); ++B) {
+      Dataset One = S.labelRun(Jobs1[B], B, 0.0);
       ASSERT_EQ(L4[B].size(), One.size()) << Spec;
       for (size_t I = 0; I != One.size(); ++I)
         EXPECT_EQ(L4[B][I].Y, One[I].Y) << Spec;
@@ -208,7 +206,7 @@ TEST(NoiseStackTest, PerRunStreamsIndependentOfVisitOrder) {
   std::vector<BenchmarkRun> Suite = syntheticSuite(4, 60);
   std::vector<BenchmarkRun> Whole = Suite;
   NoiseStack S = parseOrDie("jitter:0.4,spikes:0.3", 5);
-  S.perturbSuite(Whole);
+  S.perturbSuite(Whole, serialPool());
   BenchmarkRun Lone = Suite[2];
   S.perturbRun(Lone, 2);
   EXPECT_TRUE(sameRecords(Lone.Records, Whole[2].Records));
@@ -221,17 +219,17 @@ TEST(NoiseStackTest, CompositionOrderIsSemantic) {
   // canonicalization cannot silently reorder stacks.
   std::vector<BenchmarkRun> AB = syntheticSuite(2, 100);
   std::vector<BenchmarkRun> BA = AB;
-  parseOrDie("jitter:0.5,spikes:0.5", 11).perturbSuite(AB);
-  parseOrDie("spikes:0.5,jitter:0.5", 11).perturbSuite(BA);
+  parseOrDie("jitter:0.5,spikes:0.5", 11).perturbSuite(AB, serialPool());
+  parseOrDie("spikes:0.5,jitter:0.5", 11).perturbSuite(BA, serialPool());
   EXPECT_FALSE(sameSuiteRecords(AB, BA));
 }
 
 TEST(NoiseStackTest, SeedSelectsTheExperiment) {
   std::vector<BenchmarkRun> S1 = syntheticSuite(2, 100);
   std::vector<BenchmarkRun> S2 = S1, S1Again = S1;
-  parseOrDie("jitter:0.3", 1).perturbSuite(S1);
-  parseOrDie("jitter:0.3", 2).perturbSuite(S2);
-  parseOrDie("jitter:0.3", 1).perturbSuite(S1Again);
+  parseOrDie("jitter:0.3", 1).perturbSuite(S1, serialPool());
+  parseOrDie("jitter:0.3", 2).perturbSuite(S2, serialPool());
+  parseOrDie("jitter:0.3", 1).perturbSuite(S1Again, serialPool());
   EXPECT_FALSE(sameSuiteRecords(S1, S2));
   EXPECT_TRUE(sameSuiteRecords(S1, S1Again));
 }
@@ -335,11 +333,12 @@ TEST(NoiseStats, LabelFlipRateMatchesAndBandStaysDropped) {
 TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
   MachineModel Train = MachineModel::ppc7410();
   std::vector<BenchmarkRun> Suite =
-      generateSuiteData(test::shrinkSuite(specjvm98Suite(), 4), Train);
+      ExperimentEngine(1).generateSuiteData(
+          test::shrinkSuite(specjvm98Suite(), 4), Train);
   std::vector<BenchmarkRun> Orig = Suite;
 
   NoiseStack S = parseOrDie("mistune:ppc970", 3);
-  S.perturbSuite(Suite);
+  S.perturbSuite(Suite, serialPool());
   std::optional<MachineModel> Serve = MachineModel::byName("ppc970");
   ASSERT_TRUE(Serve.has_value());
   for (size_t B = 0; B != Suite.size(); ++B) {
@@ -361,7 +360,7 @@ TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
 
   // Mis-tuning to the model the suite was traced under is the identity.
   std::vector<BenchmarkRun> Same = Orig;
-  parseOrDie("mistune:ppc7410", 3).perturbSuite(Same);
+  parseOrDie("mistune:ppc7410", 3).perturbSuite(Same, serialPool());
   for (size_t B = 0; B != Same.size(); ++B) {
     EXPECT_EQ(Same[B].ModelName, Orig[B].ModelName);
     EXPECT_EQ(Same[B].NeverReport.SimulatedTime,
@@ -408,7 +407,8 @@ TEST(NoiseRobustness, EmptyStackPointIsTheRunThresholdFrontier) {
       test::shrinkSuite(specjvm98Suite(), 6), MachineModel::ppc7410());
   RobustnessPoint P =
       runRobustnessPoint(Engine, Suite, parseOrDie("", GoldenSeed), 20.0);
-  ThresholdResult R = Engine.runThreshold(Suite, 20.0, ripperLearner());
+  ThresholdResult R =
+      Engine.runThreshold(Suite, 20.0, ripperLearner(Engine.pool()));
 
   EXPECT_EQ(P.Stack, "none");
   EXPECT_EQ(P.EffortRatio, geometricMean(R.EffortRatioWork));

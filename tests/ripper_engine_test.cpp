@@ -21,6 +21,7 @@
 #include "ml/Metrics.h"
 #include "support/Rng.h"
 #include "support/TaskPool.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include <cmath>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -116,8 +118,8 @@ TEST(RipperEngine, MatchesReferenceOnStockDatasets) {
   std::vector<Dataset> Datasets = {
       separableData(800, 42), hardData(1000, 7), hardData(1500, 2)};
   for (const Dataset &D : Datasets)
-    expectIdentical(Ripper().train(D), reference::trainReference(D),
-                    D.getName());
+    expectIdentical(Ripper().train(D, serialPool()),
+                    reference::trainReference(D), D.getName());
 }
 
 TEST(RipperEngine, MatchesReferenceAcrossSeeds) {
@@ -125,7 +127,7 @@ TEST(RipperEngine, MatchesReferenceAcrossSeeds) {
     Dataset D = hardData(700, Seed * 13 + 1);
     RipperOptions O;
     O.Seed = Seed;
-    expectIdentical(Ripper(O).train(D),
+    expectIdentical(Ripper(O).train(D, serialPool()),
                     reference::trainReference(D, O),
                     "seed " + std::to_string(Seed));
   }
@@ -140,7 +142,7 @@ TEST(RipperEngine, MatchesReferenceAcrossOptionSettings) {
   Settings[4].MaxConditionsPerRule = 2;
   Settings[4].MaxRules = 3;
   for (size_t S = 0; S != Settings.size(); ++S)
-    expectIdentical(Ripper(Settings[S]).train(D),
+    expectIdentical(Ripper(Settings[S]).train(D, serialPool()),
                     reference::trainReference(D, Settings[S]),
                     "options " + std::to_string(S));
 }
@@ -148,15 +150,17 @@ TEST(RipperEngine, MatchesReferenceAcrossOptionSettings) {
 TEST(RipperEngine, PooledTrainingIsByteIdenticalAtAnyJobCount) {
   // Large enough that the per-feature fan-out actually engages (the
   // covered set exceeds the inline threshold), plus a small dataset where
-  // it never does -- both must match serial and the reference exactly.
+  // it never does -- every job count must match jobs=1 and the reference
+  // exactly.
+  TaskPool OneJob(1);
   for (size_t N : {300u, 6000u}) {
     Dataset D = hardData(N, 31);
-    RuleSet Serial = Ripper().train(D);
-    expectIdentical(Serial, reference::trainReference(D),
-                    "serial vs reference n=" + std::to_string(N));
+    RuleSet AtOneJob = Ripper().train(D, OneJob);
+    expectIdentical(AtOneJob, reference::trainReference(D),
+                    "jobs=1 vs reference n=" + std::to_string(N));
     for (unsigned Jobs : {2u, 4u}) {
       TaskPool Pool(Jobs);
-      expectIdentical(Ripper().train(D, Pool), Serial,
+      expectIdentical(Ripper().train(D, Pool), AtOneJob,
                       "jobs=" + std::to_string(Jobs) +
                           " n=" + std::to_string(N));
     }
@@ -165,35 +169,37 @@ TEST(RipperEngine, PooledTrainingIsByteIdenticalAtAnyJobCount) {
 
 TEST(RipperEngine, PooledLearnerMatchesFromInsideAPoolTask) {
   // LOOCV runs learners *inside* pool tasks (nested parallelFor runs
-  // inline); the filter must still be byte-identical.
+  // inline); the filter must still be byte-identical to jobs=1.
   Dataset D = hardData(500, 77);
-  RuleSet Serial = Ripper().train(D);
-  TaskPool Pool(4);
+  TaskPool OneJob(1), Pool(4);
+  RuleSet AtOneJob = Ripper().train(D, OneJob);
   std::vector<RuleSet> Out(3, RuleSet(Label::NS));
   Pool.parallelFor(Out.size(),
                    [&](size_t I) { Out[I] = Ripper().train(D, Pool); });
   for (size_t I = 0; I != Out.size(); ++I)
-    expectIdentical(Out[I], Serial, "nested slot " + std::to_string(I));
+    expectIdentical(Out[I], AtOneJob, "nested slot " + std::to_string(I));
 }
 
 // --- Degenerate inputs. ---
 
 TEST(RipperEngine, EmptyAndSingleClassMatchReference) {
   Dataset Empty("empty");
-  expectIdentical(Ripper().train(Empty), reference::trainReference(Empty),
-                  "empty");
+  expectIdentical(Ripper().train(Empty, serialPool()),
+                  reference::trainReference(Empty), "empty");
 
   Dataset AllNS("allns"), AllLS("allls");
   for (int I = 0; I != 40; ++I) {
     AllNS.add({fv(I % 10 + 1), Label::NS});
     AllLS.add({fv(I % 10 + 1), Label::LS});
   }
-  expectIdentical(Ripper().train(AllNS), reference::trainReference(AllNS),
-                  "all NS");
-  expectIdentical(Ripper().train(AllLS), reference::trainReference(AllLS),
-                  "all LS");
-  EXPECT_EQ(Ripper().train(AllNS).getDefaultClass(), Label::NS);
-  EXPECT_EQ(Ripper().train(AllLS).getDefaultClass(), Label::LS);
+  expectIdentical(Ripper().train(AllNS, serialPool()),
+                  reference::trainReference(AllNS), "all NS");
+  expectIdentical(Ripper().train(AllLS, serialPool()),
+                  reference::trainReference(AllLS), "all LS");
+  EXPECT_EQ(Ripper().train(AllNS, serialPool()).getDefaultClass(),
+            Label::NS);
+  EXPECT_EQ(Ripper().train(AllLS, serialPool()).getDefaultClass(),
+            Label::LS);
 }
 
 TEST(RipperEngine, TinyDatasetsWithEmptyPruneSplit) {
@@ -208,7 +214,7 @@ TEST(RipperEngine, TinyDatasetsWithEmptyPruneSplit) {
         D.add({fv(10 + static_cast<double>(I), 0.9), Label::LS});
       for (size_t I = 0; I != Negatives; ++I)
         D.add({fv(2 + static_cast<double>(I), 0.1), Label::NS});
-      RuleSet RS = Ripper().train(D);
+      RuleSet RS = Ripper().train(D, serialPool());
       expectIdentical(RS, reference::trainReference(D),
                       "tiny " + std::to_string(Positives) + "p" +
                           std::to_string(Negatives) + "n");
@@ -236,7 +242,7 @@ TEST(RipperEngine, AllIdenticalFeatureVectors) {
     for (int I = 0; I != 60; ++I)
       D.add({fv(7, 0.5, 0.25),
              I < 60 * LSShare ? Label::LS : Label::NS});
-    RuleSet RS = Ripper().train(D);
+    RuleSet RS = Ripper().train(D, serialPool());
     expectIdentical(RS, reference::trainReference(D),
                     "const features, LS share " + std::to_string(LSShare));
     EXPECT_EQ(RS.size(), 0u);
@@ -248,7 +254,7 @@ TEST(RipperEngine, ConstantColumnsAmongInformativeOnes) {
   // informative: the sweep must skip the constant columns' single tie
   // group and still find the signal.
   Dataset D = separableData(400, 3);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   expectIdentical(RS, reference::trainReference(D), "constant columns");
   EXPECT_GE(RS.size(), 1u);
   EXPECT_LE(errorRatePercent(RS, D), 1.0);
@@ -258,7 +264,8 @@ TEST(RipperEngine, ContradictoryDuplicatesMatchReference) {
   Dataset D("contra");
   for (int I = 0; I != 300; ++I)
     D.add({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
-  expectIdentical(Ripper().train(D), reference::trainReference(D), "contra");
+  expectIdentical(Ripper().train(D, serialPool()),
+                  reference::trainReference(D), "contra");
 }
 
 // --- Inputs the rank-histogram sweep could mishandle. ---
@@ -284,7 +291,7 @@ TEST(RipperEngine, ColumnWithADistinctValuePerInstance) {
   ASSERT_EQ(std::unique(Col.begin(), Col.end()) - Col.begin(),
             static_cast<long>(N));
 
-  RuleSet Serial = Ripper().train(D);
+  RuleSet Serial = Ripper().train(D, serialPool());
   expectIdentical(Serial, reference::trainReference(D), "distinct serial");
   EXPECT_GE(Serial.size(), 1u);
   TaskPool Pool(4);
@@ -316,7 +323,7 @@ TEST(RipperEngine, MixedSignedZerosPredictLikeReference) {
   ASSERT_GT(NegZeros, 0u);
   ASSERT_GT(PosZeros, 0u);
 
-  RuleSet Engine = Ripper().train(D);
+  RuleSet Engine = Ripper().train(D, serialPool());
   RuleSet Ref = reference::trainReference(D);
   ASSERT_EQ(Engine.size(), Ref.size());
   bool ZeroThreshold = false;
@@ -354,7 +361,7 @@ TEST(RipperEngine, OptimizePassesReuseCachedConditions) {
     RipperOptions O;
     O.OptimizePasses = Passes;
     std::string What = "passes " + std::to_string(Passes);
-    RuleSet Serial = Ripper(O).train(D);
+    RuleSet Serial = Ripper(O).train(D, serialPool());
     EXPECT_GE(Serial.size(), 2u) << What;
     expectIdentical(Serial, reference::trainReference(D, O), What);
     expectIdentical(Ripper(O).train(D, Pool), Serial, What + " jobs=4");

@@ -10,10 +10,12 @@
 
 #include "ml/Metrics.h"
 #include "support/Rng.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -50,7 +52,7 @@ TEST(RipperExtra, MdlKeepsModelsSmallOnPureNoise) {
   for (int I = 0; I != 2000; ++I)
     D.add({fv(R.range(1, 20), R.uniform(), R.uniform()),
            R.chance(0.35) ? Label::LS : Label::NS});
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   // With no learnable signal, the description-length criterion should
   // keep the rule list very small (ideally empty).
   EXPECT_LE(RS.totalConditions(), 20u);
@@ -64,8 +66,8 @@ TEST(RipperExtra, OptimizationPassesDoNotHurtTrainingError) {
   RipperOptions NoOpt, TwoOpt;
   NoOpt.OptimizePasses = 0;
   TwoOpt.OptimizePasses = 2;
-  double E0 = errorRatePercent(Ripper(NoOpt).train(D), D);
-  double E2 = errorRatePercent(Ripper(TwoOpt).train(D), D);
+  double E0 = errorRatePercent(Ripper(NoOpt).train(D, serialPool()), D);
+  double E2 = errorRatePercent(Ripper(TwoOpt).train(D, serialPool()), D);
   EXPECT_LE(E2, E0 + 1.0);
 }
 
@@ -74,8 +76,8 @@ TEST(RipperExtra, OptimizationTendsToSimplify) {
   RipperOptions NoOpt, TwoOpt;
   NoOpt.OptimizePasses = 0;
   TwoOpt.OptimizePasses = 2;
-  size_t C0 = Ripper(NoOpt).train(D).totalConditions();
-  size_t C2 = Ripper(TwoOpt).train(D).totalConditions();
+  size_t C0 = Ripper(NoOpt).train(D, serialPool()).totalConditions();
+  size_t C2 = Ripper(TwoOpt).train(D, serialPool()).totalConditions();
   EXPECT_LE(C2, C0 + 6); // usually smaller; never wildly bigger
 }
 
@@ -87,7 +89,7 @@ TEST(RipperExtra, HandlesMajorityPositiveData) {
     double BBLen = R.range(1, 20);
     D.add({fv(BBLen), BBLen >= 5 ? Label::LS : Label::NS}); // ~80% LS
   }
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_EQ(RS.getDefaultClass(), Label::LS);
   for (const Rule &Rl : RS.rules())
     EXPECT_EQ(Rl.Conclusion, Label::NS);
@@ -101,7 +103,7 @@ TEST(RipperExtra, DuplicatedInstancesDoNotBreakTraining) {
     D.add({fv(3, 0.1), Label::NS});
     D.add({fv(3, 0.1), Label::NS});
   }
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_EQ(evaluate(RS, D).errors(), 0u);
 }
 
@@ -110,7 +112,7 @@ TEST(RipperExtra, ContradictoryDuplicatesHitNoiseFloor) {
   Dataset D("contra");
   for (int I = 0; I != 500; ++I)
     D.add({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   double Err = errorRatePercent(RS, D);
   EXPECT_NEAR(Err, 20.0, 0.5); // cannot beat Bayes; must not overfit
 }
@@ -119,7 +121,7 @@ TEST(RipperExtra, SingleInstancePerClass) {
   Dataset D("tiny");
   D.add({fv(12, 0.9), Label::LS});
   D.add({fv(2, 0.1), Label::NS});
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   // Must not crash; prediction quality on 2 points is unconstrained, but
   // the default class must be valid.
   (void)RS.predict(fv(12, 0.9));
@@ -131,7 +133,7 @@ TEST(RipperExtra, GrowFractionExtremes) {
   for (double Frac : {0.5, 0.9}) {
     RipperOptions O;
     O.GrowFraction = Frac;
-    RuleSet RS = Ripper(O).train(D);
+    RuleSet RS = Ripper(O).train(D, serialPool());
     EXPECT_LE(errorRatePercent(RS, D), 15.0) << "GrowFraction " << Frac;
   }
 }
@@ -140,14 +142,14 @@ TEST(RipperExtra, MdlSlackZeroStillProducesAFilter) {
   RipperOptions O;
   O.MdlSlackBits = 0.0; // most aggressive stopping
   Dataset D = hardData(800, 6);
-  RuleSet RS = Ripper(O).train(D);
+  RuleSet RS = Ripper(O).train(D, serialPool());
   EXPECT_LE(evaluate(RS, D).errors(),
             std::min(D.countLabel(Label::LS), D.countLabel(Label::NS)));
 }
 
 TEST(RipperExtra, RulesNeverContradictTheirCoverageCounts) {
   Dataset D = hardData(1000, 7);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   for (const Rule &Rl : RS.rules()) {
     // Every rule that survived must have claimed at least as many correct
     // as incorrect training instances (otherwise MDL deletion or the
@@ -160,7 +162,7 @@ TEST(RipperExtra, RulesNeverContradictTheirCoverageCounts) {
 TEST(RipperExtra, GeneralizationGapIsBounded) {
   Dataset Train = hardData(2000, 8);
   Dataset Test = hardData(1000, 88);
-  RuleSet RS = Ripper().train(Train);
+  RuleSet RS = Ripper().train(Train, serialPool());
   double TrainErr = errorRatePercent(RS, Train);
   double TestErr = errorRatePercent(RS, Test);
   EXPECT_LE(TestErr, TrainErr + 6.0) << "severe overfitting";

@@ -4,10 +4,12 @@
 
 #include "ml/Metrics.h"
 #include "support/Rng.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -62,7 +64,7 @@ Dataset disjunctiveData(size_t N, uint64_t Seed) {
 } // namespace
 
 TEST(Ripper, EmptyDataGivesEmptyNSRuleSet) {
-  RuleSet RS = Ripper().train(Dataset("empty"));
+  RuleSet RS = Ripper().train(Dataset("empty"), serialPool());
   EXPECT_EQ(RS.size(), 0u);
   EXPECT_EQ(RS.getDefaultClass(), Label::NS);
 }
@@ -71,7 +73,7 @@ TEST(Ripper, SingleClassAllNS) {
   Dataset D("allns");
   for (int I = 0; I != 50; ++I)
     D.add({fv(I % 10 + 1), Label::NS});
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_EQ(RS.size(), 0u);
   EXPECT_EQ(RS.getDefaultClass(), Label::NS);
   EXPECT_EQ(evaluate(RS, D).errors(), 0u);
@@ -81,14 +83,14 @@ TEST(Ripper, SingleClassAllLS) {
   Dataset D("allls");
   for (int I = 0; I != 50; ++I)
     D.add({fv(I % 10 + 1), Label::LS});
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_EQ(RS.getDefaultClass(), Label::LS);
   EXPECT_EQ(evaluate(RS, D).errors(), 0u);
 }
 
 TEST(Ripper, LearnsSeparableConceptExactly) {
   Dataset D = separableData(800, 42);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   // A single threshold on bbLen separates the classes perfectly; RIPPER
   // should get training error (near) zero.
   EXPECT_LE(errorRatePercent(RS, D), 0.5);
@@ -96,14 +98,14 @@ TEST(Ripper, LearnsSeparableConceptExactly) {
 }
 
 TEST(Ripper, GeneralizesSeparableConcept) {
-  RuleSet RS = Ripper().train(separableData(800, 42));
+  RuleSet RS = Ripper().train(separableData(800, 42), serialPool());
   Dataset Test = separableData(400, 4242);
   EXPECT_LE(errorRatePercent(RS, Test), 2.0);
 }
 
 TEST(Ripper, LearnsConjunction) {
   Dataset D = conjunctiveData(1000, 7);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_LE(errorRatePercent(RS, D), 2.0);
   Dataset Test = conjunctiveData(500, 77);
   EXPECT_LE(errorRatePercent(RS, Test), 4.0);
@@ -111,7 +113,7 @@ TEST(Ripper, LearnsConjunction) {
 
 TEST(Ripper, LearnsDisjunctionWithMultipleRules) {
   Dataset D = disjunctiveData(1200, 13);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_LE(errorRatePercent(RS, D), 3.0);
   // A disjunction of two unrelated tests needs at least two rules.
   EXPECT_GE(RS.size(), 2u);
@@ -119,7 +121,7 @@ TEST(Ripper, LearnsDisjunctionWithMultipleRules) {
 
 TEST(Ripper, MinorityClassGetsTheRules) {
   Dataset D = separableData(600, 3); // LS minority by construction
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   EXPECT_EQ(RS.getDefaultClass(), Label::NS);
   for (const Rule &R : RS.rules())
     EXPECT_EQ(R.Conclusion, Label::LS);
@@ -127,8 +129,8 @@ TEST(Ripper, MinorityClassGetsTheRules) {
 
 TEST(Ripper, DeterministicGivenSeed) {
   Dataset D = conjunctiveData(600, 5);
-  RuleSet A = Ripper().train(D);
-  RuleSet B = Ripper().train(D);
+  RuleSet A = Ripper().train(D, serialPool());
+  RuleSet B = Ripper().train(D, serialPool());
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I) {
     ASSERT_EQ(A.rules()[I].size(), B.rules()[I].size());
@@ -146,8 +148,8 @@ TEST(Ripper, SeedChangesSplitsButNotQuality) {
   RipperOptions O1, O2;
   O1.Seed = 1;
   O2.Seed = 999;
-  RuleSet A = Ripper(O1).train(D);
-  RuleSet B = Ripper(O2).train(D);
+  RuleSet A = Ripper(O1).train(D, serialPool());
+  RuleSet B = Ripper(O2).train(D, serialPool());
   EXPECT_LE(errorRatePercent(A, D), 3.0);
   EXPECT_LE(errorRatePercent(B, D), 3.0);
 }
@@ -164,7 +166,7 @@ TEST(Ripper, RobustToLabelNoise) {
       Pos = !Pos;
     D.add({fv(BBLen, R.uniform()), Pos ? Label::LS : Label::NS});
   }
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   double Err = errorRatePercent(RS, D);
   EXPECT_LE(Err, 12.0);
   // The rule list should stay compact despite the noise.
@@ -173,7 +175,7 @@ TEST(Ripper, RobustToLabelNoise) {
 
 TEST(Ripper, BeatsMajorityOnImbalancedData) {
   Dataset D = separableData(1000, 17);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   double MajorityErr =
       100.0 * static_cast<double>(D.countLabel(Label::LS)) /
       static_cast<double>(D.size());
@@ -182,7 +184,7 @@ TEST(Ripper, BeatsMajorityOnImbalancedData) {
 
 TEST(Ripper, CoverageCountsConsistent) {
   Dataset D = conjunctiveData(700, 29);
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   // train() annotates coverage; claims plus defaults must account for
   // every instance exactly once.
   size_t DC = 0, DI = 0;
@@ -203,7 +205,7 @@ TEST(Ripper, RespectsRuleCountCap) {
   RipperOptions O;
   O.MaxRules = 3;
   Dataset D = disjunctiveData(800, 31);
-  RuleSet RS = Ripper(O).train(D);
+  RuleSet RS = Ripper(O).train(D, serialPool());
   EXPECT_LE(RS.size(), 3u);
 }
 
@@ -211,7 +213,7 @@ TEST(Ripper, RespectsConditionCap) {
   RipperOptions O;
   O.MaxConditionsPerRule = 2;
   Dataset D = conjunctiveData(800, 37);
-  RuleSet RS = Ripper(O).train(D);
+  RuleSet RS = Ripper(O).train(D, serialPool());
   for (const Rule &R : RS.rules())
     EXPECT_LE(R.size(), 2u);
 }
@@ -220,7 +222,7 @@ TEST(Ripper, ZeroOptimizePassesStillWorks) {
   RipperOptions O;
   O.OptimizePasses = 0;
   Dataset D = separableData(500, 41);
-  RuleSet RS = Ripper(O).train(D);
+  RuleSet RS = Ripper(O).train(D, serialPool());
   EXPECT_LE(errorRatePercent(RS, D), 2.0);
 }
 
@@ -230,7 +232,7 @@ class RipperProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RipperProperty, NeverWorseThanMajority) {
   Dataset D = disjunctiveData(500, GetParam());
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   size_t Minority = std::min(D.countLabel(Label::LS),
                              D.countLabel(Label::NS));
   EXPECT_LE(evaluate(RS, D).errors(), Minority);

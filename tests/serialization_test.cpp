@@ -4,6 +4,7 @@
 
 #include "ml/Ripper.h"
 #include "support/Rng.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <sstream>
 
 using namespace schedfilter;
+using test::serialPool;
 
 namespace {
 
@@ -268,7 +270,7 @@ TEST(Serialization, TrainedFilterSurvivesRoundTrip) {
     bool Pos = X[FeatBBLen] >= 8 && X[FeatLoad] >= 0.3;
     D.add({X, Pos ? Label::LS : Label::NS});
   }
-  RuleSet RS = Ripper().train(D);
+  RuleSet RS = Ripper().train(D, serialPool());
   std::stringstream SS;
   writeRuleSet(RS, SS);
   ParseResult<RuleSet> Back = readRuleSet(SS);

@@ -67,12 +67,6 @@ TEST(MachineModel, BlockingOpsNotPipelined) {
   EXPECT_TRUE(M.isPipelined(Opcode::LoadInt));
 }
 
-TEST(MachineModel, SetLatencyOverrides) {
-  MachineModel M = MachineModel::ppc7410();
-  M.setLatency(Opcode::Add, 9);
-  EXPECT_EQ(M.getLatency(Opcode::Add), 9u);
-}
-
 TEST(MachineModel, UnitAcceptMasks) {
   MachineModel M = MachineModel::ppc7410();
   for (FuClass C : {FuClass::IntSimple, FuClass::IntComplex, FuClass::Float,

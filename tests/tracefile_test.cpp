@@ -323,8 +323,8 @@ TEST(TraceFile, BinaryRejectsForeignFeatureCount) {
 
 TEST(TraceFile, RealTraceRoundTripsBothFormatsAndLabelsIdentically) {
   MachineModel Model = MachineModel::ppc7410();
-  std::vector<BenchmarkRun> Runs =
-      generateSuiteData(shrinkSuite({*findBenchmarkSpec("db")}, 5), Model);
+  std::vector<BenchmarkRun> Runs = ExperimentEngine(1).generateSuiteData(
+      shrinkSuite({*findBenchmarkSpec("db")}, 5), Model);
   const std::vector<BlockRecord> &Records = Runs[0].Records;
 
   for (TraceFormat F : {TraceFormat::Csv, TraceFormat::Binary}) {
@@ -349,7 +349,7 @@ TEST(TraceFile, CsvAndBinaryDecodeToIdenticalRecords) {
   // Property: whatever the suite generator emits, both encodings decode
   // to field-identical records (the acceptance bit-identity guarantee).
   MachineModel Model = MachineModel::ppc970();
-  std::vector<BenchmarkRun> Runs = generateSuiteData(
+  std::vector<BenchmarkRun> Runs = ExperimentEngine(1).generateSuiteData(
       shrinkSuite({*findBenchmarkSpec("scimark")}, 4), Model);
   const std::vector<BlockRecord> &Records = Runs[0].Records;
 

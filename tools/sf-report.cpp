@@ -86,8 +86,8 @@ int main(int argc, char **argv) {
               << ")\n";
   }
   std::cerr << "running the threshold sweep (11 x LOOCV RIPPER)...\n";
-  std::vector<ThresholdResult> Sweep =
-      Engine.runThresholdSweep(Runs, paperThresholds(), ripperLearner());
+  std::vector<ThresholdResult> Sweep = Engine.runThresholdSweep(
+      Runs, paperThresholds(), ripperLearner(Engine.pool()));
 
   renderTable3(Sweep, std::cout);
   std::cout << '\n';
@@ -113,7 +113,7 @@ int main(int argc, char **argv) {
   for (const Dataset &D : Labeled)
     if (D.getName() != Holdout)
       Train.append(D);
-  RuleSet Filter = Ripper().train(Train);
+  RuleSet Filter = Ripper().train(Train, Engine.pool());
   renderInducedFilter(Filter, std::cout);
   return 0;
 }
